@@ -30,6 +30,7 @@ _VALIDATION_ERRORS = (
     weil.ValidationError,
     localalg.CharacteristicPrime,
     localalg.ReducibleField,
+    localalg.NotPrime,
     gluing.NotASquare,
     gluing.NotOrdinary,
     gluing.SquareField,
@@ -156,9 +157,9 @@ def _scan_records(rows: list[enumeration.ScanRow]) -> list[dict]:
                 h_b=row.h_b,
                 flags=_row_flags(
                     row.surface_p_rank, row.elliptic_p_rank,
-                    row.geometrically_simple, row.exceptional_primes,
+                    True, row.exceptional_primes,
                 ),
-                verdict=_verdict_payload(row.verdict) if row.verdict else None,
+                verdict=_verdict_payload(row.verdict),
             )
         )
     return out
@@ -172,26 +173,22 @@ def _scan_csv(rows: list[enumeration.ScanRow]) -> str:
     )
     for row in rows:
         flags = _row_flags(
-            row.surface_p_rank, row.elliptic_p_rank,
-            row.geometrically_simple, row.exceptional_primes,
+            row.surface_p_rank, row.elliptic_p_rank, True, row.exceptional_primes,
         )
         flag_str = ";".join(f"{k}={v}" for k, v in flags.items())
-        if row.verdict is None:
-            verdict_str, ell, branch = "error", "", ""
-        else:
-            verdict_str = row.verdict.kind.value
-            ell = "" if row.verdict.witness_ell is None else row.verdict.witness_ell
-            branch = row.verdict.branch.value if row.verdict.branch else ""
+        verdict = row.verdict
         writer.writerow(
             [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b,
-             verdict_str, ell, branch, flag_str]
+             verdict.kind.value,
+             "" if verdict.witness_ell is None else verdict.witness_ell,
+             verdict.branch.value if verdict.branch else "", flag_str]
         )
     return buf.getvalue()
 
 
 def cmd_scan(args) -> int:
     field = weil.field_param(args.q)
-    rows = enumeration.scan_pairs(field, jobs=args.jobs)
+    rows = enumeration.scan_pairs(field)
     if args.format == "csv":
         payload = _scan_csv(rows)
     else:
@@ -326,8 +323,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     scan.add_argument("--out", default=config.get("out"))
     scan.add_argument("--format", choices=("json", "csv"),
                       default=config.get("format", "json"))
-    scan.add_argument("--jobs", type=int,
-                      default=int(config.get("jobs", os.cpu_count() or 1)))
     scan.set_defaults(func=cmd_scan)
 
     local = sub.add_parser("local", help="per-prime ideal classification report")

@@ -3,13 +3,16 @@ batch application of the verdict engine."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
-from .gluing import GluingVerdict, decide
-from .localalg import is_exceptional
-from .oracle import FactorizationTimeout, factor_integer
+from .gluing import (
+    EllipticInvariants,
+    GluingVerdict,
+    SurfaceInvariants,
+    decide_from_invariants,
+)
+from .oracle import factor_integer
 from .weil import (
     FieldParam,
     PRank,
@@ -105,52 +108,46 @@ class ScanRow:
     surface: WeilSurface
     elliptic: WeilElliptic
     h_b: int
-    verdict: GluingVerdict | None
+    verdict: GluingVerdict
     surface_p_rank: PRank
     elliptic_p_rank: PRank
-    geometrically_simple: bool
     exceptional_primes: tuple[int, ...]
-    error: str | None = None
 
 
-def _decide_row(pair: tuple[WeilSurface, WeilElliptic]) -> ScanRow:
-    A, B = pair
-    h_b = eval_real(real_weil(A), B.b)
-    verdict = None
-    error = None
-    exceptional: tuple[int, ...] = ()
-    try:
-        verdict = decide(A, B)
-        exceptional = tuple(
-            ell
-            for ell in factor_integer(h_b).primes
-            if ell != A.field.p and is_exceptional(A, ell)[0]
-        )
-    except FactorizationTimeout as exc:
-        error = str(exc)
-    return ScanRow(
-        surface=A,
-        elliptic=B,
-        h_b=h_b,
-        verdict=verdict,
-        surface_p_rank=classify_p_rank(A),
-        elliptic_p_rank=classify_p_rank(B),
-        geometrically_simple=True,
-        exceptional_primes=exceptional,
-        error=error,
-    )
-
-
-def scan_pairs(field: FieldParam, jobs: int = 1) -> list[ScanRow]:
+def scan_pairs(field: FieldParam) -> list[ScanRow]:
     """Decide every (geometrically simple surface) x (irreducible elliptic)
-    pair over F_q; rows come back in lexicographic (a1, a2, b) order
-    regardless of the degree of parallelism."""
-    surfaces = enumerate_surfaces(field, geometrically_simple=True)
-    elliptics = enumerate_elliptics(field, irreducible=True)
-    pairs = [(A, B) for A in surfaces for B in elliptics]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_decide_row, pairs))
-    else:
-        rows = [_decide_row(pair) for pair in pairs]
+    pair over F_q; rows come back in lexicographic (a1, a2, b) order.
+
+    One serial pass: the elliptic invariants are built before the pair
+    loop, the surface invariants once per surface, and each distinct h(b)
+    is factored once.  A pool of threads or processes measured slower than
+    this pass, since the work is pure Python.
+    """
+    p = field.p
+    elliptics = [
+        EllipticInvariants.of(B) for B in enumerate_elliptics(field, irreducible=True)
+    ]
+    primes_of: dict[int, tuple[int, ...]] = {}
+    rows = []
+    for A in enumerate_surfaces(field, geometrically_simple=True):
+        surface = SurfaceInvariants.of(A)
+        h = real_weil(A)
+        for B in elliptics:
+            h_b = eval_real(h, B.elliptic.b)
+            primes = primes_of.get(h_b)
+            if primes is None:
+                primes = primes_of[h_b] = factor_integer(h_b).primes
+            rows.append(
+                ScanRow(
+                    surface=A,
+                    elliptic=B.elliptic,
+                    h_b=h_b,
+                    verdict=decide_from_invariants(surface, B, h_b, primes),
+                    surface_p_rank=surface.p_rank,
+                    elliptic_p_rank=B.p_rank,
+                    exceptional_primes=tuple(
+                        ell for ell in primes if ell != p and surface.exceptional(ell)
+                    ),
+                )
+            )
     return rows

@@ -320,19 +320,111 @@ def _jacobian_text(ell: int) -> str:
     )
 
 
+@dataclass(frozen=True)
+class EllipticInvariants:
+    """What the verdict needs from the elliptic curve: its p-rank and the
+    discriminant Delta_B of its endomorphism algebra."""
+
+    elliptic: WeilElliptic
+    p_rank: PRank
+    delta: int
+
+    @classmethod
+    def of(cls, B: WeilElliptic) -> "EllipticInvariants":
+        return cls(B, classify_p_rank(B), fundamental_discriminant(B))
+
+
+@dataclass(frozen=True)
+class SurfaceInvariants:
+    """What the verdict needs from the surface: its p-rank and, per prime,
+    whether the prime is exceptional (memoized, so each (surface, ell) pair
+    runs is_exceptional once)."""
+
+    surface: WeilSurface
+    p_rank: PRank
+    _exceptional: dict[int, bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @classmethod
+    def of(cls, A: WeilSurface) -> "SurfaceInvariants":
+        return cls(A, classify_p_rank(A))
+
+    def exceptional(self, ell: int) -> bool:
+        flag = self._exceptional.get(ell)
+        if flag is None:
+            flag = self._exceptional[ell] = is_exceptional(self.surface, ell)[0]
+        return flag
+
+
+def decide_from_invariants(
+    A: SurfaceInvariants, B: EllipticInvariants, hb: int, primes: tuple[int, ...]
+) -> GluingVerdict:
+    """The verdict for A x B from its three pieces: the surface and elliptic
+    invariants, and h(b) != 0 with its prime divisors in increasing order.
+
+    Iterates over the primes and returns the first one satisfying all gluing
+    conditions; primes away from p need Delta_B != -ell, a non-failing
+    double-root test, and ordinarity whenever ell is exceptional, while
+    ell = p follows the ordinary / supersingular case split.  If no prime
+    qualifies the verdict is Inconclusive with a per-prime failure log.
+    Geometric simplicity is the caller's to enforce.
+    """
+    if abs(hb) == 1:
+        return GluingVerdict(kind=VerdictKind.NO_IRREDUCIBLE_PP, reason=NoPPReason.HB_UNIT)
+    E = B.elliptic
+    p = E.field.p
+    failures: list[PrimeFailure] = []
+    for ell in primes:
+        reasons: list[str] = []
+        branch: Branch | None = None
+        if ell == p:
+            if B.p_rank is PRank.ORDINARY or A.p_rank is PRank.MIXED:
+                branch = Branch.P_BRANCH
+            else:
+                reasons.append(
+                    "p-branch needs an ordinary elliptic curve, or a "
+                    "supersingular one against a mixed surface"
+                )
+        else:
+            if B.delta == -ell:
+                reasons.append(f"Delta_B = {B.delta} equals -ell")
+            status, t1 = double_root_condition(E, ell)
+            if status is DoubleRoot.FAILS:
+                value = t1 * t1 - E.b * t1 + E.q
+                reasons.append(
+                    f"double root t1 = {t1}: {ell}^2 does not divide f_B(t1) = {value}"
+                )
+            exceptional = A.exceptional(ell)
+            if exceptional and A.p_rank is not PRank.ORDINARY:
+                reasons.append(
+                    f"{ell} is exceptional but the surface is {A.p_rank.value}"
+                )
+            if not reasons:
+                if exceptional:
+                    branch = Branch.EXCEPTIONAL
+                elif status is DoubleRoot.SATISFIED:
+                    branch = Branch.REDUCIBLE_MOD_L
+                else:
+                    branch = Branch.GENERIC
+        if branch is not None:
+            return GluingVerdict(
+                kind=VerdictKind.IRREDUCIBLE_PP_EXISTS,
+                witness_ell=ell,
+                branch=branch,
+                jacobian_text=_jacobian_text(ell),
+            )
+        failures.append(PrimeFailure(ell=ell, reasons=tuple(reasons)))
+    return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
+
+
 def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:
     """Three-way verdict for the isogeny class of A x B.
 
-    Iterates over the prime divisors of h(b) in increasing order and returns
-    the first prime satisfying all gluing conditions; primes away from p need
-    Delta_B != -ell, a non-failing double-root test, and ordinarity whenever
-    ell is exceptional, while ell = p follows the ordinary / supersingular
-    case split.  If no prime qualifies the verdict is Inconclusive with a
-    per-prime failure log.
-
-    A surface that fails the geometric-simplicity scan is rejected whenever
-    the verdict would assert anything; an Inconclusive outcome asserts
-    nothing, so it is returned as is.
+    Validates the pair, factors h(b) and hands the rest to
+    decide_from_invariants.  A surface that fails the geometric-simplicity
+    test is rejected whenever the verdict would assert anything; an
+    Inconclusive outcome asserts nothing, so it is returned as is.
     """
     if not B.irreducible:
         raise ReducibleEllipticInput("f_B must be irreducible: b^2 < 4q")
@@ -344,57 +436,16 @@ def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:
                 f"surface splits after base change to F_(q^{witness_m})"
             )
 
-    p = A.field.p
     hb = eval_real(real_weil(A), B.b)
     if hb == 0:
         require_simple()
         raise ArithmeticError("h(b) = 0 for a geometrically simple surface")
-    if abs(hb) == 1:
+    verdict = decide_from_invariants(
+        SurfaceInvariants.of(A),
+        EllipticInvariants.of(B),
+        hb,
+        oracle.factor_integer(hb).primes,
+    )
+    if verdict.kind is not VerdictKind.INCONCLUSIVE:
         require_simple()
-        return GluingVerdict(kind=VerdictKind.NO_IRREDUCIBLE_PP, reason=NoPPReason.HB_UNIT)
-    delta_b = fundamental_discriminant(B)
-    a_rank = classify_p_rank(A)
-    b_rank = classify_p_rank(B)
-    failures: list[PrimeFailure] = []
-    for ell in oracle.factor_integer(hb).primes:
-        reasons: list[str] = []
-        branch: Branch | None = None
-        if ell == p:
-            if b_rank is PRank.ORDINARY or a_rank is PRank.MIXED:
-                branch = Branch.P_BRANCH
-            else:
-                reasons.append(
-                    "p-branch needs an ordinary elliptic curve, or a "
-                    "supersingular one against a mixed surface"
-                )
-        else:
-            if delta_b == -ell:
-                reasons.append(f"Delta_B = {delta_b} equals -ell")
-            status, t1 = double_root_condition(B, ell)
-            if status is DoubleRoot.FAILS:
-                value = t1 * t1 - B.b * t1 + B.q
-                reasons.append(
-                    f"double root t1 = {t1}: {ell}^2 does not divide f_B(t1) = {value}"
-                )
-            exceptional, _ = is_exceptional(A, ell)
-            if exceptional and a_rank is not PRank.ORDINARY:
-                reasons.append(
-                    f"{ell} is exceptional but the surface is {a_rank.value}"
-                )
-            if not reasons:
-                if exceptional:
-                    branch = Branch.EXCEPTIONAL
-                elif status is DoubleRoot.SATISFIED:
-                    branch = Branch.REDUCIBLE_MOD_L
-                else:
-                    branch = Branch.GENERIC
-        if branch is not None:
-            require_simple()
-            return GluingVerdict(
-                kind=VerdictKind.IRREDUCIBLE_PP_EXISTS,
-                witness_ell=ell,
-                branch=branch,
-                jacobian_text=_jacobian_text(ell),
-            )
-        failures.append(PrimeFailure(ell=ell, reasons=tuple(reasons)))
-    return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
+    return verdict

@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Sequence
 
 from . import polys
-from .oracle import kronecker_symbol
+from .oracle import is_probable_prime, kronecker_symbol
 from .weil import (
     RealWeilPolynomial,
     WeilElliptic,
@@ -27,6 +27,10 @@ from .weil import (
 
 class CharacteristicPrime(ValueError):
     """ell equals the field characteristic, where F is not invertible."""
+
+
+class NotPrime(ValueError):
+    """ell is not a prime number."""
 
 
 class ReducibleField(ValueError):
@@ -303,6 +307,8 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
     factor with its q-reciprocal, and a symmetric factor is generating when
     its degree doubles the degree of x + q/x below it.
     """
+    if not is_probable_prime(ell):
+        raise NotPrime(f"ell = {ell} is not prime")
     if ell == f.field.p:
         raise CharacteristicPrime(f"ell = {ell} is the characteristic")
     q = f.q

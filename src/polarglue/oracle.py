@@ -1,5 +1,6 @@
 """Brute-force ground truth: integer factorization, Kronecker symbols,
-schoolbook polynomial division over Z/ell^n.
+schoolbook polynomial division over Z/ell^n, and the exhaustive
+geometric-simplicity scan.
 
 These routines are deliberately naive and self-contained so the test
 suite can hold them against the analytic shortcuts elsewhere in the
@@ -11,6 +12,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+from .weil import (
+    WeilSurface,
+    _elementary_from_power_sums,
+    _weil_quartic_reducible,
+    power_sums,
+)
 
 
 class FactorizationTimeout(RuntimeError):
@@ -209,3 +217,33 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 def is_squarefree(n: int) -> bool:
     return abs(squarefree_decompose(n)[0]) == 1
+
+
+GEOM_SIMPLE_SCAN_BOUND = 60
+
+
+def geom_simple_scan(
+    f: WeilSurface, bound: int = GEOM_SIMPLE_SCAN_BOUND
+) -> tuple[bool, int | None]:
+    """Reference for weil.is_geometrically_simple: test every base change.
+
+    Returns (False, m) with the smallest m <= bound whose base change to
+    F_(q^m) is reducible over the rationals (m = 1 means f itself), else
+    (True, None).  It shares weil's power sums and quartic
+    reducibility test; what it checks is the choice of degrees, against
+    the 13 degrees the engine tests.
+    """
+    q, a1, a2 = f.q, f.a1, f.a2
+    if _weil_quartic_reducible(a1, a2, q):
+        return (False, 1)
+    ps = power_sums(f.coefficients(), 4 * bound)
+    for m in range(2, bound + 1):
+        pm = [ps[m * k - 1] for k in range(1, 5)]
+        e = _elementary_from_power_sums(pm, 4)
+        c3, c2 = -e[0], e[1]
+        qm = q ** m
+        if e[2] != qm * e[0] or e[3] != qm * qm:
+            raise ArithmeticError("base change lost the functional equation")
+        if _weil_quartic_reducible(c3, c2, qm):
+            return (False, m)
+    return (True, None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,14 +11,14 @@ REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schemas" / "output.v1.json").read_text())
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, text=True):
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "polarglue.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=text, env=env,
     )
 
 
@@ -76,8 +77,8 @@ def test_usage_error_exit_code():
 
 
 def test_scan_csv_shape_and_determinism():
-    first = run_cli("scan", "--q", "2", "--format", "csv", "--jobs", "1")
-    second = run_cli("scan", "--q", "2", "--format", "csv", "--jobs", "2")
+    first = run_cli("scan", "--q", "2", "--format", "csv")
+    second = run_cli("scan", "--q", "2", "--format", "csv")
     assert first.returncode == 0
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
@@ -104,6 +105,33 @@ def test_scan_json_validates_and_matches_csv():
             rec["query"]["a1"], rec["query"]["a2"], rec["query"]["b"]]
         assert int(h_b) == rec["h_b"]
         assert verdict == rec["verdict"]["kind"]
+
+
+# SHA-256 of the stdout of `scan --q Q --format F`.  Scan bytes are part of
+# the v1 output contract, so any change to them needs a schema version bump.
+SCAN_DIGESTS = {
+    (2, "csv"): "24cd638a6970ae46fc3aca10591727ec9bc1f66cbb7a402c718f9485e3cbc1cd",
+    (2, "json"): "912142a23623924f2db5b6c887cdbd31f990a499899adb3f77ae419d6cc54e96",
+    (3, "csv"): "e730a525207ea306169edbf54e14535c4f34992011cf30dfa0fdb42b351f5b90",
+    (3, "json"): "adcc131a7d81a9ca48e70621a33cddae3c12dbcc66992a6735a764bb71ce262f",
+    (4, "csv"): "e07476c2b9c22122b7bdd3696d61baf3c9ced5b909d10a6e19e005d309847ba2",
+    (4, "json"): "e0c59094bb65cc547cc1b9f83c597993b6aa933f0a42c6c10cf34e573c849f47",
+    (5, "csv"): "9661be45109082073eb5b6b324093e1d8dcc432c4eb889794b149e25cc9a97f5",
+    (5, "json"): "7c21ace66534804a46043e7e2d6b269f873df763fa048d7106b73bdc418ceff7",
+    (7, "csv"): "ddc55dfb1dd4af3137cc467eb2e3a48849232f75445fe21d8e372b7486b8901b",
+    (7, "json"): "5a21a90ed21512d8ecd4a9efe9dc728c13241d5cd89d111de1732c8147c8f7b9",
+    (8, "csv"): "09d74cd1cccbc58567677917a2e8ba0b2e200bb4bcfa9a96ee11b3e9b4c6fb7f",
+    (8, "json"): "a2cf80502c3511e1f8a3dabafa8a54d0cda6613df90945c5f5d79d9d20a5f83a",
+    (9, "csv"): "5a07b9ec75d91fdb4de60d8484aa13a43f485315f9c44b8059d660295f8522d1",
+    (9, "json"): "67ebf9d26d61ed2e5695bbc34c131b3b290ad10f472878ec817b8d4d8607b3c6",
+}
+
+
+def test_scan_bytes_match_recorded_digests():
+    for (q, fmt), digest in SCAN_DIGESTS.items():
+        res = run_cli("scan", "--q", str(q), "--format", fmt, text=False)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, (q, fmt)
 
 
 def test_scan_to_file(tmp_path):
@@ -136,6 +164,14 @@ def test_local_report():
 def test_local_rejects_characteristic():
     res = run_cli("local", "--q", "2", "--a1", "1", "--a2", "1", "--ell", "2")
     assert res.returncode == 65
+
+
+def test_local_rejects_non_prime_ell():
+    for ell in ("0", "1", "4", "9"):
+        res = run_cli("local", "--q", "11", "--a1", "-2", "--a2", "5", "--ell", ell)
+        assert res.returncode == 65, (ell, res.stderr)
+        assert f"NotPrime: ell = {ell} is not prime" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_obstruct_hl():

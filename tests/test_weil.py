@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarglue as pg
-from polarglue import polys
+from polarglue import oracle, polys
 from polarglue.weil import OutOfWeilBounds, ReducibleInput, squarefree_part
 
 from conftest import FIELDS, SMALL_FIELDS, elliptics, surfaces
@@ -214,6 +214,14 @@ def test_geometric_simplicity_catches_late_splitting():
     # becomes the square of an irreducible quadratic only at m = 4
     f = pg.make_surface(F7, -2, 2)
     assert pg.is_geometrically_simple(f) == (False, 4)
+
+
+def test_geometric_simplicity_matches_exhaustive_scan():
+    """The 13-degree test agrees with the scan over every m <= 60 on every
+    surface over every prime power q <= 27 (FIELDS)."""
+    for field in FIELDS:
+        for f in pg.enumerate_surfaces(field):
+            assert pg.is_geometrically_simple(f) == oracle.geom_simple_scan(f), f
 
 
 @given(surfaces(fields=SMALL_FIELDS))
