@@ -14,7 +14,7 @@ import argparse
 
 import polarglue as pg
 from polarglue.localalg import is_exceptional
-from polarglue.oracle import is_probable_prime
+from polarglue.arith import is_probable_prime
 
 
 def prime_powers(bound):

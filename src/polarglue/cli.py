@@ -1,7 +1,8 @@
 """Command-line interface: check / scan / local / obstruct.
 
 Exit codes: 0 existence (or obstruction established), 1 non-existence,
-2 inconclusive, 64 usage error, 65 validation error, 66 output I/O error.
+2 inconclusive, 64 usage error, 65 validation error, 66 output I/O error,
+70 internal error (a bug; the traceback goes to stderr).
 JSON records follow schemas/output.v1.json; scans are byte-deterministic.
 """
 
@@ -23,24 +24,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_VALIDATION = 65
 EXIT_IO = 66
+EXIT_SOFTWARE = 70
 
 SCHEMA_VERSION = "1"
 
-_VALIDATION_ERRORS = (
-    weil.ValidationError,
-    localalg.CharacteristicPrime,
-    localalg.ReducibleField,
-    localalg.NotPrime,
-    gluing.NotASquare,
-    gluing.NotOrdinary,
-    gluing.SquareField,
-    gluing.SmallPrime,
-    gluing.InseparableInput,
-    gluing.NotGeometricallySimple,
-    gluing.ReducibleEllipticInput,
-    gluing.HypothesisViolated,
-    ValueError,
-)
+_VALIDATION_ERRORS = (weil.ValidationError,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"polarglue: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception:
+        import traceback  # only a crash pays for importing it
+
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -6,13 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .arith import factor_integer
 from .gluing import (
     EllipticInvariants,
     GluingVerdict,
     SurfaceInvariants,
     decide_from_invariants,
 )
-from .oracle import factor_integer
 from .weil import (
     FieldParam,
     PRank,

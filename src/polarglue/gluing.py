@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import oracle, polys
+from . import polys
+from .arith import factor_integer, is_probable_prime, is_squarefree, kronecker_symbol
 from .localalg import (
     CharacteristicPrime,
     DoubleRoot,
@@ -19,6 +20,7 @@ from .localalg import (
 )
 from .weil import (
     PRank,
+    ValidationError,
     WeilElliptic,
     WeilSurface,
     classify_p_rank,
@@ -30,35 +32,39 @@ from .weil import (
 )
 
 
-class InseparableInput(ValueError):
+class InseparableInput(ValidationError):
     pass
 
 
-class NotASquare(ValueError):
+class NotASquare(ValidationError):
     pass
 
 
-class NotOrdinary(ValueError):
+class NotOrdinary(ValidationError):
     pass
 
 
-class SquareField(ValueError):
+class SquareField(ValidationError):
     pass
 
 
-class SmallPrime(ValueError):
+class SmallPrime(ValidationError):
     pass
 
 
-class HypothesisViolated(ValueError):
+class HypothesisViolated(ValidationError):
     pass
 
 
-class NotGeometricallySimple(ValueError):
+class NotGeometricallySimple(ValidationError):
     pass
 
 
-class ReducibleEllipticInput(ValueError):
+class ReducibleEllipticInput(ValidationError):
+    pass
+
+
+class NonPositivePower(ValidationError):
     pass
 
 
@@ -139,13 +145,13 @@ def hl_obstruction(A: WeilSurface, s: int, n: int) -> Obstruction:
     """Squarefree h(2s) blocks any irreducible principal polarization on
     (ordinary A) x (supersingular elliptic with trace 2s)^n, q a square."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise NonPositivePower(f"n = {n}: the power of the elliptic curve must be >= 1")
     if not A.field.is_square or s * s != A.q:
         raise NotASquare(f"q = {A.q} is not the square of s = {s}")
     if classify_p_rank(A) is not PRank.ORDINARY:
         raise NotOrdinary("the surface must be ordinary")
     h2s = eval_real(real_weil(A), 2 * s)
-    if oracle.is_squarefree(h2s):
+    if is_squarefree(h2s):
         return Obstruction.OBSTRUCTED
     return Obstruction.NO_CONCLUSION
 
@@ -179,7 +185,7 @@ def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
     u = A.a2 + 2 * q
     v = 2 * A.a1
     ell2 = ell * ell
-    symbol = oracle.kronecker_symbol(q, ell)
+    symbol = kronecker_symbol(q, ell)
     if symbol == 1:
         root = next(r for r in range(1, ell) if r * r % ell == q % ell)
         divides = (u + v * root) % ell == 0 or (u - v * root) % ell == 0
@@ -223,7 +229,7 @@ def hl2_obstruction(A: WeilSurface, strict: bool = False) -> Obstruction:
     norm = u * u - q * v * v
     if norm == 0:
         raise ArithmeticError("norm of h(2s) vanishes for an ordinary surface")
-    factors = oracle.factor_integer(norm)
+    factors = factor_integer(norm)
     if strict and factors.factors:
         return Obstruction.NO_CONCLUSION
     for ell in factors.primes:
@@ -246,7 +252,7 @@ def _is_square_mod_prime_power(r: int, ell: int, n: int) -> bool:
         if n == 2:
             return r % 4 == 1
         return r % 8 == 1
-    return oracle.kronecker_symbol(r, ell) == 1
+    return kronecker_symbol(r, ell) == 1
 
 
 def find_twisting_prime(
@@ -267,12 +273,12 @@ def find_twisting_prime(
     while r <= bound:
         if (
             (ell * delta) % r != 0
-            and oracle.kronecker_symbol(delta, r) == 1
+            and kronecker_symbol(delta, r) == 1
             and not _is_square_mod_prime_power(r, ell, n)
         ):
             return r
         r += 1
-        while r <= bound and not oracle.is_probable_prime(r):
+        while r <= bound and not is_probable_prime(r):
             r += 1
     return None
 
@@ -444,7 +450,7 @@ def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:
         SurfaceInvariants.of(A),
         EllipticInvariants.of(B),
         hb,
-        oracle.factor_integer(hb).primes,
+        factor_integer(hb).primes,
     )
     if verdict.kind is not VerdictKind.INCONCLUSIVE:
         require_simple()

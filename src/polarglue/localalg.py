@@ -15,9 +15,10 @@ from math import isqrt
 from typing import Sequence
 
 from . import polys
-from .oracle import is_probable_prime, kronecker_symbol
+from .arith import is_probable_prime, kronecker_symbol
 from .weil import (
     RealWeilPolynomial,
+    ValidationError,
     WeilElliptic,
     WeilSurface,
     fundamental_discriminant_of,
@@ -25,15 +26,15 @@ from .weil import (
 )
 
 
-class CharacteristicPrime(ValueError):
+class CharacteristicPrime(ValidationError):
     """ell equals the field characteristic, where F is not invertible."""
 
 
-class NotPrime(ValueError):
+class NotPrime(ValidationError):
     """ell is not a prime number."""
 
 
-class ReducibleField(ValueError):
+class ReducibleField(ValidationError):
     """The real companion polynomial is reducible, so K+ is not a field."""
 
 

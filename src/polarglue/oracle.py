@@ -1,18 +1,21 @@
-"""Brute-force ground truth: integer factorization, Kronecker symbols,
-schoolbook polynomial division over Z/ell^n, and the exhaustive
+"""Brute-force ground truth for the tests: trial-division factoring and
+primality, Euler's-criterion quadratic characters, a d^2 | n squarefree
+test, schoolbook polynomial division over Z, and the exhaustive
 geometric-simplicity scan.
 
-These routines are deliberately naive and self-contained so the test
-suite can hold them against the analytic shortcuts elsewhere in the
-package without sharing code paths.
+These routines are deliberately naive and share no code with the
+engine's arithmetic in arith.py, so agreement between the two is
+evidence rather than tautology.  Only the engine's trivial helpers are
+reused: divmod_monic trims zeros with polys.normalize, and
+geom_simple_scan reuses weil's power sums and quartic reducibility test,
+so what it checks is the engine's choice of base-change degrees.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
+from math import isqrt
 
+from .polys import normalize
 from .weil import (
     WeilSurface,
     _elementary_from_power_sums,
@@ -21,160 +24,68 @@ from .weil import (
 )
 
 
-class FactorizationTimeout(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Sign and (prime, exponent) pairs with strictly increasing primes."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p ** e
-        return n
-
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-_TRIAL_BOUND = 10 ** 6
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24 via fixed witness set."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, max_rounds: int = 64) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of odd composite n."""
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    for _ in range(max_rounds):
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise FactorizationTimeout(f"Pollard rho gave up on {n}")
-
-
-def factor_integer(n: int) -> PrimeFactorization:
-    """Complete factorization of a nonzero integer, certified by reconstruction."""
+def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of |n| != 0 by trial division up to sqrt(|n|)."""
     if n == 0:
         raise ValueError("n must be nonzero")
-    sign = -1 if n < 0 else 1
     m = abs(n)
-    counts: dict[int, int] = {}
-
-    def record(p: int):
-        counts[p] = counts.get(p, 0) + 1
-
-    for p in (2, 3, 5):
-        while m % p == 0:
-            record(p)
-            m //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= m:
+    out = []
+    d = 2
+    while d * d <= m:
+        e = 0
         while m % d == 0:
-            record(d)
             m //= d
-        d += 2
-    stack = [m] if m > 1 else []
-    while stack:
-        c = stack.pop()
-        if c == 1:
-            continue
-        if is_probable_prime(c):
-            record(c)
-            continue
-        g = _pollard_rho(c)
-        stack.append(g)
-        stack.append(c // g)
-    result = PrimeFactorization(sign=sign, factors=tuple(sorted(counts.items())))
-    if result.reconstruct() != n:
-        raise ArithmeticError(f"factorization of {n} failed its own certificate")
-    return result
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) with the standard 2 and -1 supplements."""
+def trial_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def kronecker_at_prime(a: int, p: int) -> int:
+    """(a|p) for a prime p: Euler's criterion when p is odd, the a mod 8
+    definition when p = 2."""
+    if p == 2:
+        return 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def trial_squarefree_part(n: int) -> int:
+    """n divided by its largest square divisor d^2."""
     if n == 0:
         raise ValueError("n must be nonzero")
-    if n < 0:
-        return (1 if a >= 0 else -1) * kronecker_symbol(a, -n)
-    result = 1
-    # strip the even part of n
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # Jacobi via reciprocity on the odd part
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    d = next(d for d in range(isqrt(abs(n)), 0, -1) if n % (d * d) == 0)
+    return n // (d * d)
+
+
+def trial_is_squarefree(n: int) -> bool:
+    """No d >= 2 with d^2 | n."""
+    return all(n % (d * d) for d in range(2, isqrt(abs(n)) + 1))
+
+
+def divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Divide f by a monic g over the integers; returns (quotient, remainder)."""
+    g = normalize(g)
+    if not g or g[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [0] * max(len(rem) - dg, 0)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        quot[i - dg] = c
+        for j, b in enumerate(g):
+            rem[i - dg + j] -= c * b
+    return normalize(quot), normalize(rem)
 
 
 def ell_adic_poly_divisibility(
@@ -182,41 +93,14 @@ def ell_adic_poly_divisibility(
 ) -> int:
     """Largest n <= n_max with f_b | f_a in (Z/ell^n)[t], by plain long division.
 
-    Polynomials are coefficient lists by increasing power; f_b must be monic.
+    Polynomials are coefficient lists by increasing power; f_b must be monic,
+    so the remainder over Z reduces to the remainder mod ell^n.
     """
-    if not f_b or f_b[-1] != 1:
-        raise ValueError("f_b must be monic")
-    best = 0
-    for n in range(1, n_max + 1):
-        mod = ell ** n
-        rem = [c % mod for c in f_a]
-        db = len(f_b) - 1
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            for j in range(db + 1):
-                rem[i - db + j] = (rem[i - db + j] - c * f_b[j]) % mod
-        if any(rem):
-            break
-        best = n
-    return best
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = square_part * squarefree_part with square_part a perfect square."""
-    fact = factor_integer(n)
-    square = 1
-    free = fact.sign
-    for p, e in fact.factors:
-        square *= p ** (e - e % 2)
-        if e % 2:
-            free *= p
-    return square, free
-
-
-def is_squarefree(n: int) -> bool:
-    return abs(squarefree_decompose(n)[0]) == 1
+    _, rem = divmod_monic(f_a, f_b)
+    n = 0
+    while n < n_max and all(c % ell ** (n + 1) == 0 for c in rem):
+        n += 1
+    return n
 
 
 GEOM_SIMPLE_SCAN_BOUND = 60

@@ -59,24 +59,6 @@ def derivative(f: list[int]) -> list[int]:
     return normalize([i * c for i, c in enumerate(f)][1:])
 
 
-def divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Divide f by a monic g over the integers; returns (quotient, remainder)."""
-    g = normalize(g)
-    if not g or g[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(f)
-    dg = len(g) - 1
-    quot = [0] * max(len(rem) - dg, 0)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - dg] = c
-        for j, b in enumerate(g):
-            rem[i - dg + j] -= c * b
-    return normalize(quot), normalize(rem)
-
-
 def reduce_mod(f: list[int], m: int) -> list[int]:
     return normalize([c % m for c in f])
 

@@ -15,6 +15,7 @@ from enum import Enum
 from math import isqrt
 
 from . import polys
+from .arith import factor_integer, is_probable_prime, squarefree_part
 
 
 class ValidationError(ValueError):
@@ -36,6 +37,10 @@ class ReducibleInput(ValidationError):
     pass
 
 
+class NotPrimePower(ValidationError):
+    """q is not the cardinality of a finite field."""
+
+
 @dataclass(frozen=True)
 class FieldParam:
     """A finite field F_q with q = p^a."""
@@ -45,10 +50,8 @@ class FieldParam:
     a: int
 
     def __post_init__(self):
-        if self.a < 1 or self.p < 2 or _smallest_prime_factor(self.p) != self.p:
-            raise ValueError(f"invalid field parameters p={self.p}, a={self.a}")
-        if self.p ** self.a != self.q:
-            raise ValueError(f"q={self.q} is not p^a for p={self.p}, a={self.a}")
+        if self.a < 1 or not is_probable_prime(self.p) or self.p ** self.a != self.q:
+            raise NotPrimePower(f"q={self.q} is not p^a for p={self.p}, a={self.a}")
 
     @property
     def is_square(self) -> bool:
@@ -62,28 +65,10 @@ class FieldParam:
 
 def field_param(q: int) -> FieldParam:
     """Build a FieldParam from a prime-power cardinality."""
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
-    p = _smallest_prime_factor(q)
-    a = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        a += 1
-    if n != 1:
-        raise ValueError(f"q={q} is not a prime power")
+    if q < 2 or len(factors := factor_integer(q).factors) != 1:
+        raise NotPrimePower(f"q={q} is not a prime power")
+    (p, a), = factors
     return FieldParam(q=q, p=p, a=a)
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
 
 
 class PRank(Enum):
@@ -293,26 +278,6 @@ def _vp_at_least(n: int, p: int, k: int) -> bool:
     if n == 0:
         return True
     return n % p ** k == 0
-
-
-def squarefree_part(n: int) -> int:
-    """Squarefree integer d0 with n = d0 * (square); sign preserved."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d = 3 if d == 2 else d + 2
-    return sign * out * n
 
 
 def fundamental_discriminant_of(d: int) -> int:

@@ -52,10 +52,10 @@ def test_criterion_1_division_identity():
         r = rng.randint(-60, 60)
         q = f.q
         h_r = pg.eval_real(pg.real_weil(f), r)
-        _, rem = polys.divmod_monic(
+        _, rem = oracle.divmod_monic(
             polys.sub(f.coefficients(), [0, 0, h_r]), [q, -r, 1])
         assert rem == [], (f, r)
-        _, rem2 = polys.divmod_monic(f.coefficients(), [q, -r, 1])
+        _, rem2 = oracle.divmod_monic(f.coefficients(), [q, -r, 1])
         assert rem2 == polys.normalize([-q * h_r, r * h_r]), (f, r)
     _report(1, "500 exact division identities", time.monotonic() - start, 1.0)
 
@@ -65,7 +65,7 @@ def test_criterion_2_gluing_exponent_oracle_equivalence():
     over q in {2,3,5}, all geometrically simple ordinary surfaces, all
     irreducible elliptic traces, all primes ell <= 50, ell != p."""
     start = time.monotonic()
-    primes = [p for p in range(2, 51) if oracle.is_probable_prime(p)]
+    primes = [p for p in range(2, 51) if oracle.trial_is_prime(p)]
     checked = 0
     for q in (2, 3, 5):
         field = pg.field_param(q)
@@ -162,10 +162,10 @@ def test_criterion_5_hl_valuation_coherence():
         s = field.sqrt_q
         for A in pg.enumerate_surfaces(field, ordinary=True):
             h2s = pg.eval_real(pg.real_weil(A), 2 * s)
-            if not oracle.is_squarefree(h2s):
+            if not oracle.trial_is_squarefree(h2s):
                 continue
             assert pg.hl_obstruction(A, s, 1) is Obstruction.OBSTRUCTED
-            for ell in oracle.factor_integer(h2s).primes:
+            for ell, _ in oracle.trial_factor(h2s):
                 if ell == field.p:
                     continue
                 assert pg.ss_quadratic_gluing_valuation(A, s, ell) == 0, (q, A, ell)

@@ -1,0 +1,69 @@
+"""Module boundaries, read from the source with ast: the engine never
+imports the test oracle, the oracle never imports the engine's arithmetic,
+and each integer primitive has exactly one definition."""
+
+import ast
+from pathlib import Path
+
+from polarglue import cli, weil
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "polarglue"
+PRIMITIVES = (
+    "factor_integer", "is_probable_prime", "kronecker_symbol",
+    "squarefree_part", "is_squarefree",
+)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Package modules a polarglue source file imports, by bare name."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("polarglue").lstrip(".")
+            if base:
+                out.add(base.split(".")[0])
+            else:  # from . import a, b  /  from polarglue import a, b
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("polarglue."):
+                    out.add(alias.name.split(".")[1])
+    return out
+
+
+def test_only_the_oracle_module_knows_the_oracle():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "oracle":
+            assert "oracle" not in _imported_modules(path), path.name
+
+
+def test_oracle_shares_no_arithmetic_with_the_engine():
+    assert "arith" not in _imported_modules(PACKAGE / "oracle.py")
+
+
+def test_each_primitive_is_defined_once():
+    """Module-level functions only: FactorPattern.is_squarefree is about
+    polynomials mod ell, not integers."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+    for name in PRIMITIVES:
+        assert defined.get(name) == ["arith.py"], (name, defined.get(name))
+    assert "_smallest_prime_factor" not in defined
+    assert "squarefree_decompose" not in defined
+    assert defined.get("divmod_monic") == ["oracle.py"]
+
+
+def test_scripts_take_primitives_from_arith():
+    assert "arith" in _imported_modules(REPO / "scripts" / "exceptional_census.py")
+
+
+def test_one_validation_error_base():
+    assert cli._VALIDATION_ERRORS == (weil.ValidationError,)

@@ -214,3 +214,33 @@ def test_config_file(tmp_path):
     res2 = run_cli("scan", "--q", "2", "--format", "json",
                    env_extra={"POLARGLUE_CONFIG": str(cfg)})
     json.loads(res2.stdout)
+
+
+def test_user_errors_exit_65_with_named_class():
+    cases = [
+        (("check", "--q", "12", "--a1", "0", "--a2", "0", "--b", "0"), "NotPrimePower"),
+        (("scan", "--q", "0"), "NotPrimePower"),
+        (("scan", "--q", "1"), "NotPrimePower"),
+        (("check", "--q", "-5", "--a1", "0", "--a2", "0", "--b", "0"), "NotPrimePower"),
+        (("obstruct", "--q", "4", "--a1", "1", "--a2", "1", "--s", "2", "--n", "0"),
+         "NonPositivePower"),
+    ]
+    for args, name in cases:
+        res = run_cli(*args)
+        assert res.returncode == 65, (args, res.stderr)
+        assert f"polarglue: {name}: " in res.stderr, (args, res.stderr)
+        assert "ValueError:" not in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_internal_error_exits_70_not_as_a_verdict(monkeypatch, capsys):
+    from polarglue import cli, gluing
+
+    def broken(A, B):
+        raise ValueError("simulated bug")
+
+    monkeypatch.setattr(gluing, "decide", broken)
+    code = cli.main(["check", "--q", "2", "--a1", "1", "--a2", "1", "--b", "0"])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: simulated bug" in err

@@ -110,17 +110,17 @@ def test_find_twisting_prime_postconditions(delta, ell, n):
     if delta == -ell:
         return
     r = find_twisting_prime(delta, ell, n)
-    assert r is not None and oracle.is_probable_prime(r)
+    assert r is not None and oracle.trial_is_prime(r)
     assert (ell * delta) % r != 0
-    assert oracle.kronecker_symbol(delta, r) == 1
-    assert oracle.kronecker_symbol(r, ell) == -1
+    assert oracle.kronecker_at_prime(delta, r) == 1
+    assert oracle.kronecker_at_prime(r, ell) == -1
     for smaller in range(2, r):
-        if not oracle.is_probable_prime(smaller):
+        if not oracle.trial_is_prime(smaller):
             continue
         assert (
             (ell * delta) % smaller == 0
-            or oracle.kronecker_symbol(delta, smaller) != 1
-            or oracle.kronecker_symbol(smaller, ell) == 1
+            or oracle.kronecker_at_prime(delta, smaller) != 1
+            or oracle.kronecker_at_prime(smaller, ell) == 1
         )
 
 
@@ -224,9 +224,9 @@ def test_hl_consistency_with_valuation():
         s = field.sqrt_q
         for A in pg.enumerate_surfaces(field, ordinary=True):
             h2s = pg.eval_real(pg.real_weil(A), 2 * s)
-            if not oracle.is_squarefree(h2s):
+            if not oracle.trial_is_squarefree(h2s):
                 continue
             assert hl_obstruction(A, s, 1) is Obstruction.OBSTRUCTED
-            for ell in oracle.factor_integer(h2s).primes:
+            for ell, _ in oracle.trial_factor(h2s):
                 if ell != field.p:
                     assert ss_quadratic_gluing_valuation(A, s, ell) == 0

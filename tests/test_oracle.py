@@ -1,74 +1,50 @@
-import math
+"""The brute-force oracle checks itself on hand-computed examples; its
+agreement with the engine's arithmetic is tested in test_arith.py."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import polarglue as pg
 from polarglue.oracle import (
+    divmod_monic,
     ell_adic_poly_divisibility,
-    factor_integer,
-    is_probable_prime,
-    kronecker_symbol,
-    squarefree_decompose,
+    kronecker_at_prime,
+    trial_factor,
+    trial_is_prime,
+    trial_is_squarefree,
+    trial_squarefree_part,
 )
-
-nonzero = st.integers(min_value=-10 ** 9, max_value=10 ** 9).filter(lambda n: n != 0)
 
 
 def test_factor_integer_examples():
-    assert factor_integer(52).factors == ((2, 2), (13, 1))
-    assert factor_integer(1).factors == ()
-    assert factor_integer(9991).factors == ((97, 1), (103, 1))
-    assert factor_integer(-12).sign == -1
+    assert trial_factor(52) == ((2, 2), (13, 1))
+    assert trial_factor(1) == ()
+    assert trial_factor(9991) == ((97, 1), (103, 1))
+    assert trial_factor(-12) == ((2, 2), (3, 1))
     with pytest.raises(ValueError):
-        factor_integer(0)
+        trial_factor(0)
 
 
-def test_factor_integer_large_semiprime():
-    n = 1000003 * 1000033
-    assert factor_integer(n).factors == ((1000003, 1), (1000033, 1))
-
-
-@given(nonzero)
-@settings(max_examples=300)
-def test_factorization_reconstructs(n):
-    fact = factor_integer(n)
-    assert fact.reconstruct() == n
-    assert list(fact.primes) == sorted(fact.primes)
-    for p, e in fact.factors:
-        assert e >= 1 and is_probable_prime(p)
+def test_primality_and_squarefree_examples():
+    assert [n for n in range(-3, 30) if trial_is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert trial_squarefree_part(72) == 2
+    assert trial_squarefree_part(-28) == -7
+    assert trial_is_squarefree(-30) and not trial_is_squarefree(12)
 
 
 def test_kronecker_examples():
-    assert kronecker_symbol(2, 7) == 1
-    assert kronecker_symbol(2, 3) == -1
-    for a in (-5, -1, 0, 1, 7, 100):
-        assert kronecker_symbol(a, 1) == 1
-    assert kronecker_symbol(4, 2) == 0
-    assert kronecker_symbol(-7, 2) == 1  # -7 = 1 mod 8
-    with pytest.raises(ValueError):
-        kronecker_symbol(3, 0)
+    assert kronecker_at_prime(2, 7) == 1
+    assert kronecker_at_prime(2, 3) == -1
+    assert kronecker_at_prime(-1, 5) == 1 and kronecker_at_prime(-1, 7) == -1
+    assert kronecker_at_prime(14, 7) == 0
+    assert kronecker_at_prime(-7, 2) == 1 and kronecker_at_prime(5, 2) == -1
+    assert kronecker_at_prime(4, 2) == 0
 
 
-@given(st.integers(-200, 200), st.integers(-200, 200), nonzero)
-@settings(max_examples=200)
-def test_kronecker_multiplicative_in_top(a, b, n):
-    if n < 0 and a * b == 0:
-        return  # the sign supplement at -1 is not multiplicative through 0
-    assert kronecker_symbol(a * b, n) == kronecker_symbol(a, n) * kronecker_symbol(b, n)
-
-
-@given(st.integers(-200, 200), nonzero, nonzero)
-@settings(max_examples=200)
-def test_kronecker_multiplicative_in_bottom(a, m, n):
-    assert kronecker_symbol(a, m * n) == kronecker_symbol(a, m) * kronecker_symbol(a, n)
-
-
-def test_kronecker_matches_euler_criterion():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        for a in range(1, p):
-            euler = pow(a, (p - 1) // 2, p)
-            assert kronecker_symbol(a, p) == (1 if euler == 1 else -1)
+def test_divmod_monic_examples():
+    # t^3 - 1 = (t - 1)(t^2 + t + 1)
+    assert divmod_monic([-1, 0, 0, 1], [-1, 1]) == ([1, 1, 1], [])
+    assert divmod_monic([5, 0, 1], [1, 1]) == ([-1, 1], [6])
 
 
 def test_ell_adic_poly_divisibility_examples():
@@ -79,19 +55,3 @@ def test_ell_adic_poly_divisibility_examples():
     A11 = pg.make_surface(F11, -2, 5)
     assert ell_adic_poly_divisibility(A11.coefficients(), [11, -4, 1], 3) == 2
     assert ell_adic_poly_divisibility(A.coefficients(), [2, -1, 1], 5) == 0
-
-
-def test_squarefree_decompose_examples():
-    assert squarefree_decompose(72) == (36, 2)
-    assert squarefree_decompose(-28) == (4, -7)
-    assert squarefree_decompose(13) == (1, 13)
-
-
-@given(nonzero)
-@settings(max_examples=200)
-def test_squarefree_decompose_properties(n):
-    square, free = squarefree_decompose(n)
-    assert square * free == n
-    assert math.isqrt(square) ** 2 == square
-    for _, e in factor_integer(free).factors:
-        assert e == 1
