@@ -17,7 +17,7 @@ def main():
     args = ap.parse_args()
 
     field = pg.field_param(args.q)
-    rows = pg.scan_pairs(field)
+    rows = list(pg.scan_pairs(field))
     surfaces = {(r.surface.a1, r.surface.a2) for r in rows}
     print(f"F_{args.q}: {len(surfaces)} geometrically simple surfaces, "
           f"{len(rows)} pairs with irreducible elliptic curves")

@@ -5,7 +5,7 @@ polarization, hence a genus-3 Jacobian up to quadratic twist."""
 
 __version__ = "0.1.0"
 
-from .enumeration import ScanRow, enumerate_elliptics, enumerate_surfaces, scan_pairs, trace_occurs
+from .enumeration import enumerate_elliptics, enumerate_surfaces, scan_pairs, trace_occurs
 from .gluing import (
     Branch,
     GluingExponentReport,
@@ -14,8 +14,10 @@ from .gluing import (
     NoPPReason,
     Obstruction,
     PrimeFailure,
+    ScanRow,
     VerdictKind,
     decide,
+    decide_pair,
     divides_in_lambda,
     find_twisting_prime,
     gluing_exponent,

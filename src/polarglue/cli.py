@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 
 from . import __version__, enumeration, gluing, localalg, weil
 
@@ -92,23 +92,35 @@ def _emit(obj, pretty_lines: list[str] | None, pretty: bool):
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _row_flags(row: gluing.ScanRow) -> dict:
+    return {
+        "surface_p_rank": row.surface_p_rank.value,
+        "elliptic_p_rank": row.elliptic_p_rank.value,
+        "geometrically_simple": "true" if row.geometrically_simple else "false",
+        "exceptional_primes": "|".join(str(e) for e in row.exceptional_primes),
+    }
+
+
+def _row_record(command: str, row: gluing.ScanRow, deterministic: bool) -> dict:
+    """The v1 record of one decided pair, for `check` and for `scan-row`."""
+    A = row.surface
+    return _record(
+        command,
+        {"q": A.q, "a1": A.a1, "a2": A.a2, "b": row.elliptic.b},
+        deterministic=deterministic,
+        h_b=row.h_b,
+        flags=_row_flags(row),
+        verdict=_verdict_payload(row.verdict),
+    )
+
+
 def cmd_check(args) -> int:
     field = weil.field_param(args.q)
-    A = weil.make_surface(field, args.a1, args.a2)
-    B = weil.make_elliptic(field, args.b)
-    verdict = gluing.decide(A, B)
-    h_b = weil.eval_real(weil.real_weil(A), args.b)
-    rec = _record(
-        "check",
-        {"q": args.q, "a1": args.a1, "a2": args.a2, "b": args.b},
-        h_b=h_b,
-        flags=_row_flags(
-            weil.classify_p_rank(A), weil.classify_p_rank(B),
-            weil.is_geometrically_simple(A)[0], (),
-        ),
-        verdict=_verdict_payload(verdict),
+    row = gluing.decide_pair(
+        weil.make_surface(field, args.a1, args.a2), weil.make_elliptic(field, args.b)
     )
-    lines = [f"h(b) = {h_b}", f"verdict: {verdict.kind.value}"]
+    verdict = row.verdict
+    lines = [f"h(b) = {row.h_b}", f"verdict: {verdict.kind.value}"]
     if verdict.witness_ell is not None:
         lines.append(f"witness ell = {verdict.witness_ell} ({verdict.branch.value})")
         lines.append(verdict.jacobian_text)
@@ -116,54 +128,17 @@ def cmd_check(args) -> int:
         lines.append(f"reason: {verdict.reason.value}")
     for f in verdict.failures:
         lines.append(f"ell = {f.ell} fails: " + "; ".join(f.reasons))
-    _emit(rec, lines, args.pretty)
+    _emit(_row_record("check", row, deterministic=False), lines, args.pretty)
     return _verdict_exit(verdict)
 
 
-def _row_flags(surface_rank, elliptic_rank, simple, exceptional) -> dict:
-    return {
-        "surface_p_rank": surface_rank.value,
-        "elliptic_p_rank": elliptic_rank.value,
-        "geometrically_simple": "true" if simple else "false",
-        "exceptional_primes": "|".join(str(e) for e in exceptional),
-    }
-
-
-def _scan_records(rows: list[enumeration.ScanRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        out.append(
-            _record(
-                "scan-row",
-                {
-                    "q": row.surface.q,
-                    "a1": row.surface.a1,
-                    "a2": row.surface.a2,
-                    "b": row.elliptic.b,
-                },
-                deterministic=True,
-                h_b=row.h_b,
-                flags=_row_flags(
-                    row.surface_p_rank, row.elliptic_p_rank,
-                    True, row.exceptional_primes,
-                ),
-                verdict=_verdict_payload(row.verdict),
-            )
-        )
-    return out
-
-
-def _scan_csv(rows: list[enumeration.ScanRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(rows, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"]
     )
     for row in rows:
-        flags = _row_flags(
-            row.surface_p_rank, row.elliptic_p_rank, True, row.exceptional_primes,
-        )
-        flag_str = ";".join(f"{k}={v}" for k, v in flags.items())
+        flag_str = ";".join(f"{k}={v}" for k, v in _row_flags(row).items())
         verdict = row.verdict
         writer.writerow(
             [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b,
@@ -171,25 +146,39 @@ def _scan_csv(rows: list[enumeration.ScanRow]) -> str:
              "" if verdict.witness_ell is None else verdict.witness_ell,
              verdict.branch.value if verdict.branch else "", flag_str]
         )
-    return buf.getvalue()
+
+
+_JSON_BATCH = 200
+
+
+def _write_json(rows, out) -> None:
+    """Write the bytes of json.dumps(records, indent=2, sort_keys=True) + "\n"
+    _JSON_BATCH records at a time.  A batch dumped as a list reads
+    "[" + stretch + "\n]", where the stretch is the batch's part of the whole
+    array's text; stretches are joined by ",".  One write per record instead
+    ran about 15% slower through a pipe (q = 27, 2 CPUs)."""
+    rows = iter(rows)
+    sep = "["
+    while batch := list(islice(rows, _JSON_BATCH)):
+        records = [_row_record("scan-row", row, deterministic=True) for row in batch]
+        out.write(sep + json.dumps(records, indent=2, sort_keys=True)[1:-2])
+        sep = ","
+    out.write("[]\n" if sep == "[" else "\n]\n")
 
 
 def cmd_scan(args) -> int:
     field = weil.field_param(args.q)
+    write = _write_csv if args.format == "csv" else _write_json
     rows = enumeration.scan_pairs(field)
-    if args.format == "csv":
-        payload = _scan_csv(rows)
-    else:
-        payload = json.dumps(_scan_records(rows), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(payload)
+    if not args.out:
+        write(rows, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write(rows, fh)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return 0
 
 
@@ -197,7 +186,7 @@ def cmd_local(args) -> int:
     field = weil.field_param(args.q)
     A = weil.make_surface(field, args.a1, args.a2)
     report = localalg.classify_prime_ideals(A, args.ell)
-    exceptional, witness = localalg.is_exceptional(A, args.ell)
+    witness = report.exceptional_witness
     rec = _record(
         "local",
         {"q": args.q, "a1": args.a1, "a2": args.a2, "ell": args.ell},
@@ -225,7 +214,7 @@ def cmd_local(args) -> int:
                 }
                 for r in report.ideals
             ],
-            "exceptional": exceptional,
+            "exceptional": witness is not None,
             "exceptional_witness": list(witness) if witness else None,
         },
     )

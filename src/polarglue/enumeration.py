@@ -3,27 +3,19 @@ batch application of the verdict engine."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
-from .arith import factor_integer
-from .gluing import (
-    EllipticInvariants,
-    GluingVerdict,
-    SurfaceInvariants,
-    decide_from_invariants,
-)
+from .gluing import EllipticInvariants, ScanRow, SurfaceInvariants, evaluate_pair
 from .weil import (
     FieldParam,
     PRank,
     WeilElliptic,
     WeilSurface,
     classify_p_rank,
-    eval_real,
     is_geometrically_simple,
     make_elliptic,
     make_surface,
-    real_weil,
 )
 
 
@@ -103,51 +95,20 @@ def enumerate_elliptics(
     return out
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    surface: WeilSurface
-    elliptic: WeilElliptic
-    h_b: int
-    verdict: GluingVerdict
-    surface_p_rank: PRank
-    elliptic_p_rank: PRank
-    exceptional_primes: tuple[int, ...]
-
-
-def scan_pairs(field: FieldParam) -> list[ScanRow]:
+def scan_pairs(field: FieldParam) -> Iterator[ScanRow]:
     """Decide every (geometrically simple surface) x (irreducible elliptic)
-    pair over F_q; rows come back in lexicographic (a1, a2, b) order.
+    pair over F_q; rows are yielded in lexicographic (a1, a2, b) order.
 
     One serial pass: the elliptic invariants are built before the pair
     loop, the surface invariants once per surface, and each distinct h(b)
     is factored once.  A pool of threads or processes measured slower than
     this pass, since the work is pure Python.
     """
-    p = field.p
     elliptics = [
         EllipticInvariants.of(B) for B in enumerate_elliptics(field, irreducible=True)
     ]
     primes_of: dict[int, tuple[int, ...]] = {}
-    rows = []
     for A in enumerate_surfaces(field, geometrically_simple=True):
         surface = SurfaceInvariants.of(A)
-        h = real_weil(A)
         for B in elliptics:
-            h_b = eval_real(h, B.elliptic.b)
-            primes = primes_of.get(h_b)
-            if primes is None:
-                primes = primes_of[h_b] = factor_integer(h_b).primes
-            rows.append(
-                ScanRow(
-                    surface=A,
-                    elliptic=B.elliptic,
-                    h_b=h_b,
-                    verdict=decide_from_invariants(surface, B, h_b, primes),
-                    surface_p_rank=surface.p_rank,
-                    elliptic_p_rank=B.p_rank,
-                    exceptional_primes=tuple(
-                        ell for ell in primes if ell != p and surface.exceptional(ell)
-                    ),
-                )
-            )
-    return rows
+            yield evaluate_pair(surface, B, primes_of)

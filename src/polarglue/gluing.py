@@ -6,7 +6,7 @@ contains an abelian threefold with an irreducible principal polarization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import polys
@@ -20,6 +20,7 @@ from .localalg import (
 )
 from .weil import (
     PRank,
+    RealWeilPolynomial,
     ValidationError,
     WeilElliptic,
     WeilSurface,
@@ -160,9 +161,12 @@ def hl_obstruction(A: WeilSurface, s: int, n: int) -> Obstruction:
 class LambdaDivisibility:
     """Divisibility of h(2 sqrt q) = u + v sqrt(q) by ell in Z_ell[t]/(t^2 - q).
 
-    When t^2 - q splits mod ell divisibility means ell | u + v*s' for one of
-    the two roots s'; when it is inert it means ell | u and ell | v.
-    divides_square is the same test mod ell^2 (with Hensel-lifted roots).
+    Inert t^2 - q: divisibility means ell | u and ell | v.  Split: the ring
+    is Z_ell x Z_ell, u + v t maps to the components u +- v r (r^2 = q),
+    and divisibility means ell divides one of them, i.e. ell | N = u^2 - q v^2.
+    divides_square is the same test mod ell^2: the components differ by
+    2 v r, so ell divides both only if ell | v, and then ell^2 divides one
+    of them iff ell^3 | N; otherwise iff ell^2 | N.
     """
 
     ell: int
@@ -187,18 +191,11 @@ def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
     ell2 = ell * ell
     symbol = kronecker_symbol(q, ell)
     if symbol == 1:
-        root = next(r for r in range(1, ell) if r * r % ell == q % ell)
-        divides = (u + v * root) % ell == 0 or (u - v * root) % ell == 0
-        divides_square = False
-        for r0 in (root, ell - root):
-            lift = (r0 + ell * ((q - r0 * r0) // ell * pow(2 * r0, -1, ell))) % ell2
-            if (q - lift * lift) % ell2 != 0:
-                raise ArithmeticError("Hensel lift failed")
-            if (u + v * lift) % ell2 == 0:
-                divides_square = True
+        norm = u * u - q * v * v
+        divides = norm % ell == 0
         return LambdaDivisibility(
             ell=ell, u=u, v=v, divides=divides,
-            divides_square=divides and divides_square,
+            divides_square=divides and norm % (ell2 * ell if v % ell == 0 else ell2) == 0,
             splitting=SplittingType.SPLIT,
         )
     if symbol == -1:
@@ -237,10 +234,7 @@ def hl2_obstruction(A: WeilSurface, strict: bool = False) -> Obstruction:
             return Obstruction.NO_CONCLUSION
         if ell == A.field.p:
             raise ArithmeticError("p divides the norm for an ordinary surface")
-        lam = divides_in_lambda(A, ell)
-        if not lam.divides:
-            raise ArithmeticError(f"{ell} divides the norm but not h(2s) in Lambda")
-        if lam.divides_square:
+        if divides_in_lambda(A, ell).divides_square:
             return Obstruction.NO_CONCLUSION
     return Obstruction.OBSTRUCTED
 
@@ -342,19 +336,20 @@ class EllipticInvariants:
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
-    """What the verdict needs from the surface: its p-rank and, per prime,
-    whether the prime is exceptional (memoized, so each (surface, ell) pair
-    runs is_exceptional once)."""
+    """What the verdict needs from the surface: its p-rank, its real
+    companion h and, per prime, whether the prime is exceptional (memoized,
+    so each (surface, ell) pair runs is_exceptional once)."""
 
     surface: WeilSurface
     p_rank: PRank
+    h: RealWeilPolynomial
     _exceptional: dict[int, bool] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     @classmethod
     def of(cls, A: WeilSurface) -> "SurfaceInvariants":
-        return cls(A, classify_p_rank(A))
+        return cls(A, classify_p_rank(A), real_weil(A))
 
     def exceptional(self, ell: int) -> bool:
         flag = self._exceptional.get(ell)
@@ -424,34 +419,72 @@ def decide_from_invariants(
     return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
 
 
-def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:
-    """Three-way verdict for the isogeny class of A x B.
+@dataclass(frozen=True)
+class ScanRow:
+    """One decided pair: h(b), the verdict, both p-ranks, and the prime
+    divisors of h(b) other than p that are exceptional for the surface.
 
-    Validates the pair, factors h(b) and hands the rest to
-    decide_from_invariants.  A surface that fails the geometric-simplicity
-    test is rejected whenever the verdict would assert anything; an
-    Inconclusive outcome asserts nothing, so it is returned as is.
+    geometrically_simple is False only for a row decide_pair returns for a
+    split surface, whose verdict is then Inconclusive."""
+
+    surface: WeilSurface
+    elliptic: WeilElliptic
+    h_b: int
+    verdict: GluingVerdict
+    surface_p_rank: PRank
+    elliptic_p_rank: PRank
+    exceptional_primes: tuple[int, ...]
+    geometrically_simple: bool = True
+
+
+def evaluate_pair(
+    A: SurfaceInvariants, B: EllipticInvariants, primes_of: dict[int, tuple[int, ...]]
+) -> ScanRow:
+    """The row for A x B: h(b), its prime divisors (looked up in the memo
+    primes_of, or factored and stored there), the verdict of
+    decide_from_invariants and the exceptional primes of h(b)."""
+    E = B.elliptic
+    h_b = eval_real(A.h, E.b)
+    if h_b == 0:
+        raise InseparableInput("h(b) = 0: the inputs share a Weil number")
+    primes = primes_of.get(h_b)
+    if primes is None:
+        primes = primes_of[h_b] = factor_integer(h_b).primes
+    p = E.field.p
+    return ScanRow(
+        surface=A.surface, elliptic=E, h_b=h_b,
+        verdict=decide_from_invariants(A, B, h_b, primes),
+        surface_p_rank=A.p_rank, elliptic_p_rank=B.p_rank,
+        exceptional_primes=tuple(ell for ell in primes if ell != p and A.exceptional(ell)),
+    )
+
+
+def decide_pair(A: WeilSurface, B: WeilElliptic) -> ScanRow:
+    """The validated row for one pair A x B.
+
+    A surface that fails the geometric-simplicity test is rejected whenever
+    the verdict would assert anything, and whenever h(b) = 0; an
+    Inconclusive outcome asserts nothing, so it is returned, flagged as not
+    geometrically simple.
     """
     if not B.irreducible:
         raise ReducibleEllipticInput("f_B must be irreducible: b^2 < 4q")
     simple, witness_m = is_geometrically_simple(A)
+    try:
+        row = evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
+    except InseparableInput:
+        if simple:
+            raise ArithmeticError("h(b) = 0 for a geometrically simple surface")
+        row = None
+    if simple:
+        return row
+    if row is None or row.verdict.kind is not VerdictKind.INCONCLUSIVE:
+        raise NotGeometricallySimple(
+            f"surface splits after base change to F_(q^{witness_m})"
+        )
+    return replace(row, geometrically_simple=False)
 
-    def require_simple():
-        if not simple:
-            raise NotGeometricallySimple(
-                f"surface splits after base change to F_(q^{witness_m})"
-            )
 
-    hb = eval_real(real_weil(A), B.b)
-    if hb == 0:
-        require_simple()
-        raise ArithmeticError("h(b) = 0 for a geometrically simple surface")
-    verdict = decide_from_invariants(
-        SurfaceInvariants.of(A),
-        EllipticInvariants.of(B),
-        hb,
-        factor_integer(hb).primes,
-    )
-    if verdict.kind is not VerdictKind.INCONCLUSIVE:
-        require_simple()
-    return verdict
+def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:
+    """Three-way verdict for the isogeny class of A x B (see decide_pair)."""
+    return decide_pair(A, B).verdict

@@ -109,8 +109,9 @@ def factor_mod_prime(f: Sequence[int], ell: int) -> FactorPattern:
     return FactorPattern(ell=ell, factors=out)
 
 
-def _dedekind_defect(f: Sequence[int], ell: int) -> dict[Factor, bool]:
-    """Per repeated factor: True iff Z_ell[t]/f is maximal at that factor.
+def _dedekind_defect(f: Sequence[int], pattern: FactorPattern) -> dict[Factor, bool]:
+    """Per factor of f mod ell (pattern is factor_mod_prime(f, ell)): True
+    iff Z_ell[t]/f is maximal at that factor.
 
     Radical form of the Dedekind criterion: with f = rad * cof mod ell,
     T = (lift(rad) lift(cof) - f)/ell, the order is maximal at a repeated
@@ -119,7 +120,7 @@ def _dedekind_defect(f: Sequence[int], ell: int) -> dict[Factor, bool]:
     f = polys.normalize(list(f))
     if not f or f[-1] != 1:
         raise ValueError("f must be monic")
-    pattern = factor_mod_prime(f, ell)
+    ell = pattern.ell
     verdicts: dict[Factor, bool] = {}
     repeated = [(g, m) for g, m in pattern.factors if m >= 2]
     for g, _ in pattern.factors:
@@ -144,7 +145,7 @@ def _dedekind_defect(f: Sequence[int], ell: int) -> dict[Factor, bool]:
 
 def dedekind_is_maximal(f: Sequence[int], ell: int) -> bool:
     """True iff Z_ell[t]/f is the maximal order at ell (Dedekind criterion)."""
-    return all(_dedekind_defect(f, ell).values())
+    return all(_dedekind_defect(f, factor_mod_prime(f, ell)).values())
 
 
 class SplittingType(Enum):
@@ -294,10 +295,13 @@ class IdealRecord:
 
 @dataclass(frozen=True)
 class LocalPrimeReport:
+    """The ideals over ell; exceptional_witness is is_exceptional's witness."""
+
     ell: int
     factor_pattern: FactorPattern
     h_pattern: FactorPattern
     ideals: tuple[IdealRecord, ...]
+    exceptional_witness: Factor | None
 
 
 def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
@@ -315,8 +319,8 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
     q = f.q
     pattern = factor_mod_prime(f.coefficients(), ell)
     h_pattern = factor_mod_prime(list(real_weil(f).coefficients), ell)
-    maximality = _dedekind_defect(f.coefficients(), ell)
-    exceptional, witness = is_exceptional(f, ell)
+    maximality = _dedekind_defect(f.coefficients(), pattern)
+    witness = is_exceptional(f, ell)[1]
     witness_mod_ell = tuple(c % ell for c in witness) if witness else None
     records = []
     for g, mult in pattern.factors:
@@ -330,10 +334,11 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
                 symmetric=symmetric,
                 generating=generating,
                 maximal_at=maximality[g],
-                exceptional=exceptional and g == witness_mod_ell,
+                exceptional=g == witness_mod_ell,
                 conjugate_partner=None if symmetric else partner,
             )
         )
     return LocalPrimeReport(
-        ell=ell, factor_pattern=pattern, h_pattern=h_pattern, ideals=tuple(records)
+        ell=ell, factor_pattern=pattern, h_pattern=h_pattern,
+        ideals=tuple(records), exceptional_witness=witness,
     )

@@ -1,6 +1,7 @@
 """Brute-force ground truth for the tests: trial-division factoring and
 primality, Euler's-criterion quadratic characters, a d^2 | n squarefree
-test, schoolbook polynomial division over Z, and the exhaustive
+test, schoolbook polynomial division over Z, divisibility in
+Z_ell[t]/(t^2 - q) by a square-root search, and the exhaustive
 geometric-simplicity scan.
 
 These routines are deliberately naive and share no code with the
@@ -101,6 +102,25 @@ def ell_adic_poly_divisibility(
     while n < n_max and all(c % ell ** (n + 1) == 0 for c in rem):
         n += 1
     return n
+
+
+def lambda_divisibility_by_roots(q: int, u: int, v: int, ell: int) -> tuple[bool, bool]:
+    """(ell | u + v t, ell^2 | u + v t) in Z_ell[t]/(t^2 - q), odd ell not
+    dividing q: try every r < ell as a square root of q; with roots, test
+    u + v r against both roots and their Hensel lifts mod ell^2, else ell
+    is inert and the test is on u and v themselves."""
+    ell2 = ell * ell
+    roots = [r for r in range(1, ell) if r * r % ell == q % ell]
+    if not roots:
+        return (u % ell == 0 and v % ell == 0, u % ell2 == 0 and v % ell2 == 0)
+    divides = divides_square = False
+    for r0 in roots:
+        lift = (r0 + ell * ((q - r0 * r0) // ell * pow(2 * r0, -1, ell))) % ell2
+        if (q - lift * lift) % ell2 != 0:
+            raise ArithmeticError("Hensel lift failed")
+        divides = divides or (u + v * r0) % ell == 0
+        divides_square = divides_square or (u + v * lift) % ell2 == 0
+    return (divides, divides_square)
 
 
 GEOM_SIMPLE_SCAN_BOUND = 60

@@ -11,14 +11,14 @@ REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schemas" / "output.v1.json").read_text())
 
 
-def run_cli(*args, env_extra=None, text=True):
+def run_cli(*args, env_extra=None, text=True, timeout=None):
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "polarglue.cli", *args],
-        capture_output=True, text=text, env=env,
+        capture_output=True, text=text, env=env, timeout=timeout,
     )
 
 
@@ -51,6 +51,41 @@ def test_check_inconclusive():
     rec = json.loads(res.stdout)
     validate(rec)
     assert rec["verdict"]["failures"][0]["ell"] == 3
+
+
+def test_check_lists_exceptional_primes():
+    res = run_cli("check", "--q", "11", "--a1", "-2", "--a2", "5", "--b", "4")
+    assert res.returncode == 0
+    rec = json.loads(res.stdout)
+    validate(rec)
+    assert (rec["verdict"]["branch"], rec["verdict"]["witness_ell"]) == ("exceptional", 3)
+    assert rec["flags"]["exceptional_primes"] == "3"
+
+
+def test_check_record_matches_scan_row():
+    """check and scan reach the same row, so their records agree."""
+    import polarglue as pg
+    from polarglue import cli, gluing
+
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        for row in pg.scan_pairs(pg.field_param(q)):
+            scanned = cli._row_record("scan-row", row, deterministic=True)
+            checked = cli._row_record(
+                "check", gluing.decide_pair(row.surface, row.elliptic),
+                deterministic=False,
+            )
+            for key in ("h_b", "flags", "verdict"):
+                assert checked[key] == scanned[key], (q, key, row)
+
+
+def test_check_flags_split_surface():
+    # t^4 - 2t^3 + 2t^2 - 4t + 4 splits over F_8; with
+    # nothing asserted the verdict stands, flagged as not simple
+    res = run_cli("check", "--q", "2", "--a1", "-2", "--a2", "2", "--b", "0")
+    assert res.returncode == 2
+    rec = json.loads(res.stdout)
+    validate(rec)
+    assert rec["flags"]["geometrically_simple"] == "false"
 
 
 def test_check_validation_error():
@@ -134,6 +169,36 @@ def test_scan_bytes_match_recorded_digests():
         assert hashlib.sha256(res.stdout).hexdigest() == digest, (q, fmt)
 
 
+def test_json_writer_matches_one_dump():
+    import io
+
+    import polarglue as pg
+    from polarglue import cli
+
+    rows = list(pg.scan_pairs(pg.field_param(7)))
+    batch = cli._JSON_BATCH
+    for n in (0, 1, 2, batch, batch + 1, len(rows)):
+        buf = io.StringIO()
+        cli._write_json(rows[:n], buf)
+        records = [cli._row_record("scan-row", r, deterministic=True) for r in rows[:n]]
+        assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def test_scan_streams_rows():
+    """Peak RSS of a q = 27 json scan (24,066 rows, about 190 MB when the
+    whole output was built before writing) stays small."""
+    env = dict(os.environ)
+    env.pop("POLARGLUE_CONFIG", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polarglue", "scan", "--q", "27", "--format", "json"],
+        stdout=subprocess.DEVNULL, env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 64  # ru_maxrss is in KiB on Linux
+
+
 def test_scan_to_file(tmp_path):
     out = tmp_path / "scan.json"
     res = run_cli("scan", "--q", "2", "--out", str(out))
@@ -196,6 +261,15 @@ def test_obstruct_hl2():
     assert strict.returncode == 2
 
 
+def test_obstruct_hl2_large_prime_in_norm():
+    # the norm of h(2s) is 13 * 307694153849; a square-root search mod the
+    # large prime did not finish in 15 s, the norm test takes well under 1 s
+    res = run_cli("obstruct", "--q", "1000003", "--a1", "1", "--a2", "1", "--ss-surface",
+                  timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["obstruction"]["status"] == "obstructed"
+
+
 def test_obstruct_mode_mismatch():
     # hl2 on a square field
     res = run_cli("obstruct", "--q", "4", "--a1", "1", "--a2", "1", "--ss-surface")
@@ -239,7 +313,7 @@ def test_internal_error_exits_70_not_as_a_verdict(monkeypatch, capsys):
     def broken(A, B):
         raise ValueError("simulated bug")
 
-    monkeypatch.setattr(gluing, "decide", broken)
+    monkeypatch.setattr(gluing, "decide_pair", broken)
     code = cli.main(["check", "--q", "2", "--a1", "1", "--a2", "1", "--b", "0"])
     assert code == 70
     err = capsys.readouterr().err

@@ -60,7 +60,7 @@ def test_monotone_filters():
 
 
 def test_scan_shape_and_totality():
-    rows = pg.scan_pairs(F2)
+    rows = list(pg.scan_pairs(F2))
     n_surfaces = len(pg.enumerate_surfaces(F2, geometrically_simple=True))
     n_elliptics = len(pg.enumerate_elliptics(F2, irreducible=True))
     assert len(rows) == n_surfaces * n_elliptics
@@ -99,7 +99,7 @@ def test_scan_rows_match_decide():
 
 
 def test_scan_is_deterministic():
-    assert pg.scan_pairs(F2) == pg.scan_pairs(F2)
+    assert list(pg.scan_pairs(F2)) == list(pg.scan_pairs(F2))
 
 
 def test_enumeration_is_complete():

@@ -78,6 +78,25 @@ def test_divides_in_lambda_examples():
         divides_in_lambda(pg.make_surface(F4, 1, 1), 3)
 
 
+def test_divides_in_lambda_matches_root_search():
+    """The norm test agrees with the square-root search and Hensel lift it
+    replaced, on every surface over every non-square q <= 27 and every odd
+    prime ell < 60 other than p."""
+    odd_primes = [ell for ell in range(3, 60) if oracle.trial_is_prime(ell)]
+    split = 0
+    for q in (2, 3, 5, 7, 8, 11, 13, 17, 19, 23, 27):
+        field = pg.field_param(q)
+        for A in pg.enumerate_surfaces(field):
+            for ell in odd_primes:
+                if ell == field.p:
+                    continue
+                lam = divides_in_lambda(A, ell)
+                expected = oracle.lambda_divisibility_by_roots(q, lam.u, lam.v, ell)
+                assert (lam.divides, lam.divides_square) == expected, (A, ell)
+                split += lam.splitting is SplittingType.SPLIT
+    assert split > 10_000
+
+
 def test_hl2_obstruction_examples():
     assert hl2_obstruction(A211) is Obstruction.OBSTRUCTED
     assert hl2_obstruction(pg.make_surface(F2, 0, 1)) is Obstruction.OBSTRUCTED

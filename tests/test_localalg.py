@@ -242,9 +242,28 @@ def test_generating_matches_direct_rules(f, ell):
 @given(surfaces(), st.sampled_from(PRIMES))
 @settings(max_examples=150)
 def test_dedekind_defect_covers_all_factors(f, ell):
-    verdicts = _dedekind_defect(f.coefficients(), ell)
     pat = factor_mod_prime(f.coefficients(), ell)
+    verdicts = _dedekind_defect(f.coefficients(), pat)
     assert set(verdicts) == {g for g, _ in pat.factors}
     for g, mult in pat.factors:
         if mult == 1:
             assert verdicts[g]
+
+
+def test_local_computes_each_fact_once(monkeypatch, capsys):
+    """One `local` query factors f and h mod ell once each and runs
+    is_exceptional once."""
+    from polarglue import cli, localalg
+
+    calls = {"factor_mod_prime": 0, "is_exceptional": 0}
+    for name in calls:
+        original = getattr(localalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(localalg, name, counted)
+    assert cli.main(["local", "--q", "11", "--a1", "-2", "--a2", "5", "--ell", "3"]) == 0
+    assert calls == {"factor_mod_prime": 2, "is_exceptional": 1}
+    assert '"exceptional": true' in capsys.readouterr().out
