@@ -9,7 +9,6 @@ JSON records follow schemas/output.v1.json; scans are byte-deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -133,18 +132,26 @@ def cmd_check(args) -> int:
 
 
 def _write_csv(rows, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"]
-    )
+    """One formatted line per row.  No field can hold ",", '"' or a
+    newline (integers, enum values, and flags built from those), so the
+    bytes equal csv.writer's.  The flags cell depends only on the key
+    below, a few hundred values per scan, so it is built once per key."""
+    out.write("a1,a2,b,h_b,verdict,witness_ell,branch,flags\n")
+    flags_of: dict[tuple, str] = {}
     for row in rows:
-        flag_str = ";".join(f"{k}={v}" for k, v in _row_flags(row).items())
+        key = (row.surface_p_rank, row.elliptic_p_rank,
+               row.geometrically_simple, row.exceptional_primes)
+        flags = flags_of.get(key)
+        if flags is None:
+            flags = flags_of[key] = ";".join(
+                f"{k}={v}" for k, v in _row_flags(row).items())
         verdict = row.verdict
-        writer.writerow(
-            [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b,
-             verdict.kind.value,
-             "" if verdict.witness_ell is None else verdict.witness_ell,
-             verdict.branch.value if verdict.branch else "", flag_str]
+        ell = verdict.witness_ell
+        branch = verdict.branch
+        out.write(
+            f"{row.surface.a1},{row.surface.a2},{row.elliptic.b},{row.h_b},"
+            f"{verdict.kind.value},{'' if ell is None else ell},"
+            f"{branch.value if branch else ''},{flags}\n"
         )
 
 

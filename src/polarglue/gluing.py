@@ -6,6 +6,7 @@ contains an abelian threefold with an irreducible principal polarization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -312,11 +313,22 @@ class GluingVerdict:
     jacobian_text: str = ""
 
 
-def _jacobian_text(ell: int) -> str:
-    return (
-        "the isogeny class contains an abelian threefold with an irreducible "
-        f"principal polarization (glued at ell = {ell}); that threefold or its "
-        "quadratic twist is the Jacobian of a smooth curve of genus 3"
+_HB_UNIT = GluingVerdict(kind=VerdictKind.NO_IRREDUCIBLE_PP, reason=NoPPReason.HB_UNIT)
+
+
+@functools.lru_cache(maxsize=None)
+def _exists(ell: int, branch: Branch) -> GluingVerdict:
+    """The one verdict object for witness ell on this branch, shared by
+    every row it decides (verdicts are immutable)."""
+    return GluingVerdict(
+        kind=VerdictKind.IRREDUCIBLE_PP_EXISTS,
+        witness_ell=ell,
+        branch=branch,
+        jacobian_text=(
+            "the isogeny class contains an abelian threefold with an irreducible "
+            f"principal polarization (glued at ell = {ell}); that threefold or its "
+            "quadratic twist is the Jacobian of a smooth curve of genus 3"
+        ),
     )
 
 
@@ -369,10 +381,12 @@ def decide_from_invariants(
     double-root test, and ordinarity whenever ell is exceptional, while
     ell = p follows the ordinary / supersingular case split.  If no prime
     qualifies the verdict is Inconclusive with a per-prime failure log.
-    Geometric simplicity is the caller's to enforce.
+    Geometric simplicity is the caller's to enforce.  The conclusive
+    verdicts are shared objects: one per (witness ell, branch) and one for
+    h(b) = +-1; only an Inconclusive verdict is built per call.
     """
     if abs(hb) == 1:
-        return GluingVerdict(kind=VerdictKind.NO_IRREDUCIBLE_PP, reason=NoPPReason.HB_UNIT)
+        return _HB_UNIT
     E = B.elliptic
     p = E.field.p
     failures: list[PrimeFailure] = []
@@ -409,12 +423,7 @@ def decide_from_invariants(
                 else:
                     branch = Branch.GENERIC
         if branch is not None:
-            return GluingVerdict(
-                kind=VerdictKind.IRREDUCIBLE_PP_EXISTS,
-                witness_ell=ell,
-                branch=branch,
-                jacobian_text=_jacobian_text(ell),
-            )
+            return _exists(ell, branch)
         failures.append(PrimeFailure(ell=ell, reasons=tuple(reasons)))
     return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
 

@@ -9,7 +9,8 @@ engine's arithmetic in arith.py, so agreement between the two is
 evidence rather than tautology.  Only the engine's trivial helpers are
 reused: divmod_monic trims zeros with polys.normalize, and
 geom_simple_scan reuses weil's power sums and quartic reducibility test,
-so what it checks is the engine's choice of base-change degrees.
+so what it checks is the engine's choice of base-change degrees and its
+closed form for ordinary surfaces.
 """
 
 from __future__ import annotations

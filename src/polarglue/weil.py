@@ -9,7 +9,6 @@ geometric-simplicity test all use exact integer arithmetic only.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -331,29 +330,55 @@ def is_geometrically_simple(f: WeilSurface) -> tuple[bool, int | None]:
 
     Returns (False, m) for that m (m = 1 means f itself), else (True, None).
 
-    Only m = 1 and the degrees in SPLITTING_DEGREES need testing.  Let f be
-    irreducible with roots pi_1..pi_4.  The roots come in pairs
-    {pi, q/pi}, so the Galois group lies in the dihedral group D4 and the
-    splitting field L has degree dividing 8.  The base change f^(m) is the
-    characteristic polynomial of pi^m on Q(pi), a power of its minimal
-    polynomial, so it is reducible exactly when pi_i^m = pi_j^m for some
-    i != j.  That happens exactly when zeta = pi_j/pi_i is a root of unity
-    whose order n divides m.  Since Q(zeta_n) lies in L, phi(n) divides 8,
-    which leaves n in {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30},
-    and n = 1 is excluded because f is separable.  The smallest reducing m
-    is the smallest such n over all pairs i != j, so it always lies in
+    Ordinary surfaces (p does not divide a2) are settled in closed form by
+    Howe and Zhu, J. Number Theory 92 (2002), Thm 6: a simple ordinary
+    surface is absolutely simple unless a1 = 0 (it splits over F_(q^2)),
+    a1^2 = a2 + q (over F_(q^3)), a1^2 = 2*a2 (over F_(q^4)) or
+    a1^2 = 3*a2 - 3q (over F_(q^6)).  For an ordinary a2 these four cases
+    exclude one another, and each m named is the smallest.
+
+    Mixed and supersingular surfaces test m = 1 and then the degrees in
+    SPLITTING_DEGREES.  Let f be irreducible with roots pi_1..pi_4.  The
+    roots come in pairs {pi, q/pi}, so the Galois group lies in the
+    dihedral group D4 and the splitting field L has degree dividing 8.
+    The base change f^(m) is the characteristic polynomial of pi^m on
+    Q(pi), a power of its minimal polynomial, so it is reducible exactly
+    when pi_i^m = pi_j^m for some i != j.  That happens exactly when
+    zeta = pi_j/pi_i is a root of unity whose order n divides m.  Since
+    Q(zeta_n) lies in L, phi(n) divides 8, which leaves n in
+    {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30}, and n = 1 is
+    excluded because f is separable.  The smallest reducing m is the
+    smallest such n over all pairs i != j, so it always lies in
     SPLITTING_DEGREES, and testing those degrees in increasing order gives
-    the same answer as testing every m.  oracle.geom_simple_scan keeps the
-    scan over every m <= 60 as the reference.
+    the same answer as testing every m.
+
+    oracle.geom_simple_scan keeps the scan over every m <= 60 as the
+    reference for both branches.
     """
-    return _geom_simple_cached(f.field.p, f.field.a, f.a1, f.a2)
-
-
-@functools.lru_cache(maxsize=None)
-def _geom_simple_cached(p: int, a: int, a1: int, a2: int) -> tuple[bool, int | None]:
-    q = p ** a
+    q, a1, a2 = f.q, f.a1, f.a2
     if _weil_quartic_reducible(a1, a2, q):
         return (False, 1)
+    if a2 % f.field.p:
+        return _howe_zhu(a1, a2, q)
+    return _splitting_degree(a1, a2, q)
+
+
+def _howe_zhu(a1: int, a2: int, q: int) -> tuple[bool, int | None]:
+    """Howe-Zhu Thm 6 for an irreducible ordinary quartic."""
+    s = a1 * a1
+    if a1 == 0:
+        return (False, 2)
+    if s == a2 + q:
+        return (False, 3)
+    if s == 2 * a2:
+        return (False, 4)
+    if s == 3 * a2 - 3 * q:
+        return (False, 6)
+    return (True, None)
+
+
+def _splitting_degree(a1: int, a2: int, q: int) -> tuple[bool, int | None]:
+    """The SPLITTING_DEGREES search for an irreducible quartic."""
     ps = power_sums([q * q, q * a1, a2, a1, 1], 4 * SPLITTING_DEGREES[-1])
     for m in SPLITTING_DEGREES:
         pm = [ps[m * k - 1] for k in range(1, 5)]

@@ -184,6 +184,42 @@ def test_json_writer_matches_one_dump():
         assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
+def test_csv_writer_matches_csv_module():
+    import csv
+    import io
+    from dataclasses import replace
+
+    import polarglue as pg
+    from polarglue import cli, gluing
+
+    rows = [r for q in (7, 9) for r in pg.scan_pairs(pg.field_param(q))]
+    base = rows[0]
+    rows += [
+        replace(base, verdict=gluing.GluingVerdict(
+            kind=gluing.VerdictKind.NO_IRREDUCIBLE_PP, reason=gluing.NoPPReason.HB_UNIT)),
+        replace(base, verdict=gluing.GluingVerdict(
+            kind=gluing.VerdictKind.INCONCLUSIVE,
+            failures=(gluing.PrimeFailure(ell=3, reasons=("a reason",)),))),
+        replace(base, geometrically_simple=False),
+        replace(base, exceptional_primes=(3, 5)),
+    ]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"])
+    for row in rows:
+        v = row.verdict
+        writer.writerow(
+            [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b, v.kind.value,
+             "" if v.witness_ell is None else v.witness_ell,
+             v.branch.value if v.branch else "",
+             ";".join(f"{k}={x}" for k, x in cli._row_flags(row).items())]
+        )
+    got = io.StringIO()
+    cli._write_csv(rows, got)
+    assert got.getvalue() == want.getvalue()
+    assert "exceptional_primes=3|5" in got.getvalue()
+
+
 def test_scan_streams_rows():
     """Peak RSS of a q = 27 json scan (24,066 rows, about 190 MB when the
     whole output was built before writing) stays small."""
@@ -197,6 +233,34 @@ def test_scan_streams_rows():
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     assert usage.ru_maxrss / 1024 < 64  # ru_maxrss is in KiB on Linux
+
+
+# Starts the child and prints its ru_maxrss (KiB on Linux) from os.wait4.
+# On exec the kernel folds the peak RSS of the process that forked the
+# child into the child's ru_maxrss, so the child is forked from this small
+# launcher, not from the test process, whose own peak would dominate.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_scan_csv_peak_rss_stays_flat():
+    """Peak RSS of a q = 49 csv scan is about 17 MB.  A verdict memo per
+    (b, h(b), p-rank, exceptional primes) raised it to 22-33 MB, so the
+    24 MB bound keeps such a memo out."""
+    env = dict(os.environ)
+    env.pop("POLARGLUE_CONFIG", None)
+    res = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "polarglue",
+         "scan", "--q", "49", "--format", "csv"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, maxrss_kib = map(int, res.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 24
 
 
 def test_scan_to_file(tmp_path):

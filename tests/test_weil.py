@@ -217,6 +217,22 @@ def test_geometric_simplicity_catches_late_splitting():
     assert pg.is_geometrically_simple(f) == (False, 4)
 
 
+@pytest.mark.parametrize(
+    "q, a1, a2, rank, expected",
+    [
+        (5, 0, -9, pg.PRank.ORDINARY, (False, 2)),  # a1 = 0
+        (5, -4, 11, pg.PRank.ORDINARY, (False, 3)),  # a1^2 = a2 + q
+        (5, -4, 8, pg.PRank.ORDINARY, (False, 4)),  # a1^2 = 2 a2
+        (5, -6, 17, pg.PRank.ORDINARY, (False, 6)),  # a1^2 = 3 a2 - 3q
+        (9, -6, 21, pg.PRank.MIXED, (False, 6)),  # the degree search
+    ],
+)
+def test_geometric_simplicity_howe_zhu_shapes(q, a1, a2, rank, expected):
+    f = pg.make_surface(pg.field_param(q), a1, a2)
+    assert pg.classify_p_rank(f) is rank
+    assert pg.is_geometrically_simple(f) == expected == oracle.geom_simple_scan(f)
+
+
 def test_geometric_simplicity_matches_exhaustive_scan():
     """The 13-degree test agrees with the scan over every m <= 60 on every
     surface over every prime power q <= 27 (FIELDS)."""
