@@ -1,6 +1,9 @@
 """Exact integer arithmetic for the engine: primality, factorization,
 Kronecker symbols and squarefree parts.
 
+Factorization is one algorithm: Brent's Pollard rho splits every
+composite cofactor and Miller-Rabin certifies the prime pieces.
+
 This module is the one production home of these primitives.  oracle.py
 holds independent brute-force versions that the tests hold these against.
 """
@@ -34,9 +37,6 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
-_TRIAL_BOUND = 10 ** 6
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n < 3.3e24 via fixed witness set."""
     if n < 2:
@@ -62,12 +62,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, max_rounds: int = 64) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of odd composite n."""
+def _pollard_rho(n: int) -> int:
+    """Brent-cycle Pollard rho (Brent, BIT 20 (1980)): a nontrivial factor
+    of composite n, 2 for even n; up to 64 rounds with fresh (y, c)."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
-    for _ in range(max_rounds):
+    for _ in range(64):
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -97,29 +98,16 @@ def _pollard_rho(n: int, max_rounds: int = 64) -> int:
 
 
 def _prime_counts(m: int) -> dict[int, int]:
-    """Prime -> exponent for m >= 1: trial division, then Pollard rho."""
+    """Prime -> exponent for m >= 1: split composite cofactors with Pollard
+    rho until Miller-Rabin calls every piece prime."""
     counts: dict[int, int] = {}
-
-    def record(p: int):
-        counts[p] = counts.get(p, 0) + 1
-
-    for p in (2, 3, 5):
-        while m % p == 0:
-            record(p)
-            m //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= m:
-        while m % d == 0:
-            record(d)
-            m //= d
-        d += 2
-    stack = [m] if m > 1 else []
+    stack = [m]
     while stack:
         c = stack.pop()
         if c == 1:
             continue
         if is_probable_prime(c):
-            record(c)
+            counts[c] = counts.get(c, 0) + 1
             continue
         g = _pollard_rho(c)
         stack.append(g)

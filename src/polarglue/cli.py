@@ -288,9 +288,24 @@ def _load_config() -> dict:
     return out
 
 
+def _config_choice(parser, config: dict, key: str, allowed: tuple[str, ...],
+                   fold: bool = False) -> str:
+    """config[key], lower-cased if fold, else allowed[0] when the key is
+    unset; any value outside allowed is a usage error."""
+    value = config.get(key, allowed[0])
+    folded = value.lower() if fold else value
+    if folded not in allowed:
+        parser.error(f"config key {key}: {value!r} is not one of {', '.join(allowed)}")
+    return folded
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     config = config or {}
     parser = _Parser(prog="polarglue", description=__doc__)
+    booleans = ("false", "true")
+    pretty = _config_choice(parser, config, "pretty", booleans, fold=True) == "true"
+    hl2_strict = _config_choice(parser, config, "hl2_strict", booleans, fold=True) == "true"
+    scan_format = _config_choice(parser, config, "format", ("json", "csv"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="decide one surface x elliptic pair")
@@ -298,15 +313,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     check.add_argument("--a1", type=int, required=True)
     check.add_argument("--a2", type=int, required=True)
     check.add_argument("--b", type=int, required=True)
-    check.add_argument("--pretty", action="store_true",
-                       default=config.get("pretty", "").lower() == "true")
+    check.add_argument("--pretty", action="store_true", default=pretty)
     check.set_defaults(func=cmd_check)
 
     scan = sub.add_parser("scan", help="decide every admissible pair over F_q")
     scan.add_argument("--q", type=int, required=True)
     scan.add_argument("--out", default=config.get("out"))
-    scan.add_argument("--format", choices=("json", "csv"),
-                      default=config.get("format", "json"))
+    scan.add_argument("--format", choices=("json", "csv"), default=scan_format)
     scan.set_defaults(func=cmd_scan)
 
     local = sub.add_parser("local", help="per-prime ideal classification report")
@@ -325,8 +338,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     obstruct.add_argument("--s", type=int, default=None)
     obstruct.add_argument("--n", type=int, default=None)
     obstruct.add_argument("--ss-surface", action="store_true")
-    obstruct.add_argument("--hl2-strict", action="store_true",
-                          default=config.get("hl2_strict", "").lower() == "true")
+    obstruct.add_argument("--hl2-strict", action="store_true", default=hl2_strict)
     obstruct.set_defaults(func=cmd_obstruct)
     return parser
 

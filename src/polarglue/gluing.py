@@ -224,17 +224,12 @@ def hl2_obstruction(A: WeilSurface, strict: bool = False) -> Obstruction:
     q = A.q
     u = A.a2 + 2 * q
     v = 2 * A.a1
-    norm = u * u - q * v * v
-    if norm == 0:
-        raise ArithmeticError("norm of h(2s) vanishes for an ordinary surface")
-    factors = factor_integer(norm)
+    factors = factor_integer(u * u - q * v * v)
     if strict and factors.factors:
         return Obstruction.NO_CONCLUSION
     for ell in factors.primes:
         if ell == 2:
             return Obstruction.NO_CONCLUSION
-        if ell == A.field.p:
-            raise ArithmeticError("p divides the norm for an ordinary surface")
         if divides_in_lambda(A, ell).divides_square:
             return Obstruction.NO_CONCLUSION
     return Obstruction.OBSTRUCTED

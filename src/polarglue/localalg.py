@@ -246,40 +246,6 @@ def q_reciprocal(g: Factor, q: int, ell: int) -> Factor:
     return tuple(polys.monic_mod(flipped, ell))
 
 
-def _trace_minpoly_degree(g: Factor, q: int, ell: int) -> int:
-    """Degree over F_ell of beta = x + q/x in the field F_ell[x]/(g)."""
-    d = len(g) - 1
-    if d == 1:
-        return 1
-    g_list = list(g)
-    inv_g0 = pow(g[0], -1, ell)
-    # x^{-1} = -g0^{-1} (g1 + g2 x + ... + x^{d-1})
-    x_inv = [(-inv_g0 * g_list[i + 1]) % ell for i in range(d)]
-    beta = [(q * c) % ell for c in x_inv]
-    beta[1] = (beta[1] + 1) % ell
-    basis: list[list[int]] = []
-
-    def reduce_vec(vec: list[int]) -> list[int]:
-        v = list(vec)
-        for w in basis:
-            piv = next(i for i, c in enumerate(w) if c)
-            if v[piv]:
-                c = v[piv] * pow(w[piv], -1, ell) % ell
-                v = [(a - c * b) % ell for a, b in zip(v, w)]
-        return v
-
-    power = [1] + [0] * (d - 1)
-    for k in range(d + 1):
-        vred = reduce_vec(power)
-        if not any(vred):
-            return k
-        basis.append(vred)
-        prod = polys.mul_mod(power, beta, ell)
-        _, power = polys.divmod_monic_mod(prod, g_list, ell)
-        power = (power + [0] * d)[:d]
-    return d
-
-
 @dataclass(frozen=True)
 class IdealRecord:
     """Classification of one maximal ideal of Z[F, V] over ell != p."""
@@ -309,8 +275,9 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
 
     Away from p the Frobenius order is Z_ell[t]/f, so maximal ideals
     correspond to irreducible factors of f mod ell; the involution pairs a
-    factor with its q-reciprocal, and a symmetric factor is generating when
-    its degree doubles the degree of x + q/x below it.
+    factor with its q-reciprocal.  A symmetric factor g is generating when g
+    does not divide t^2 - q mod ell: x -> q/x is an automorphism of
+    F_ell[x]/(g) of order 1 or 2, trivial exactly when x^2 = q.
     """
     if not is_probable_prime(ell):
         raise NotPrime(f"ell = {ell} is not prime")
@@ -326,7 +293,8 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
     for g, mult in pattern.factors:
         partner = q_reciprocal(g, q, ell)
         symmetric = partner == g
-        generating = symmetric and (len(g) - 1) == 2 * _trace_minpoly_degree(g, q, ell)
+        _, rem = polys.divmod_monic_mod([-q, 0, 1], list(g), ell)
+        generating = symmetric and bool(rem)
         records.append(
             IdealRecord(
                 factor=g,

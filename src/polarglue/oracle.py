@@ -1,8 +1,9 @@
 """Brute-force ground truth for the tests: trial-division factoring and
 primality, Euler's-criterion quadratic characters, a d^2 | n squarefree
 test, schoolbook polynomial division over Z, divisibility in
-Z_ell[t]/(t^2 - q) by a square-root search, and the exhaustive
-geometric-simplicity scan.
+Z_ell[t]/(t^2 - q) by a square-root search, the degree of x + q/x in a
+residue field by linear algebra, and the exhaustive geometric-simplicity
+scan.
 
 These routines are deliberately naive and share no code with the
 engine's arithmetic in arith.py, so agreement between the two is
@@ -10,14 +11,16 @@ evidence rather than tautology.  Only the engine's trivial helpers are
 reused: divmod_monic trims zeros with polys.normalize, and
 geom_simple_scan reuses weil's power sums and quartic reducibility test,
 so what it checks is the engine's choice of base-change degrees and its
-closed form for ordinary surfaces.
+closed form for ordinary surfaces.  _trace_minpoly_degree, the reference
+for the generating flag of the prime ideals over ell, multiplies and
+reduces with polys.mul_mod and polys.divmod_monic_mod.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .polys import normalize
+from .polys import divmod_monic_mod, mul_mod, normalize
 from .weil import (
     WeilSurface,
     _elementary_from_power_sums,
@@ -122,6 +125,43 @@ def lambda_divisibility_by_roots(q: int, u: int, v: int, ell: int) -> tuple[bool
         divides = divides or (u + v * r0) % ell == 0
         divides_square = divides_square or (u + v * lift) % ell2 == 0
     return (divides, divides_square)
+
+
+def _trace_minpoly_degree(g: tuple[int, ...], q: int, ell: int) -> int:
+    """Degree over F_ell of beta = x + q/x in the field F_ell[x]/(g), by
+    linear algebra on the powers of beta.  Reference for the generating
+    flag of localalg.classify_prime_ideals: a symmetric factor g generates
+    exactly when deg g = 2 * (this degree)."""
+    d = len(g) - 1
+    if d == 1:
+        return 1
+    g_list = list(g)
+    inv_g0 = pow(g[0], -1, ell)
+    # x^{-1} = -g0^{-1} (g1 + g2 x + ... + x^{d-1})
+    x_inv = [(-inv_g0 * g_list[i + 1]) % ell for i in range(d)]
+    beta = [(q * c) % ell for c in x_inv]
+    beta[1] = (beta[1] + 1) % ell
+    basis: list[list[int]] = []
+
+    def reduce_vec(vec: list[int]) -> list[int]:
+        v = list(vec)
+        for w in basis:
+            piv = next(i for i, c in enumerate(w) if c)
+            if v[piv]:
+                c = v[piv] * pow(w[piv], -1, ell) % ell
+                v = [(a - c * b) % ell for a, b in zip(v, w)]
+        return v
+
+    power = [1] + [0] * (d - 1)
+    for k in range(d + 1):
+        vred = reduce_vec(power)
+        if not any(vred):
+            return k
+        basis.append(vred)
+        prod = mul_mod(power, beta, ell)
+        _, power = divmod_monic_mod(prod, g_list, ell)
+        power = (power + [0] * d)[:d]
+    return d
 
 
 GEOM_SIMPLE_SCAN_BOUND = 60

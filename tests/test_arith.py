@@ -2,11 +2,12 @@
 properties, and exhaustive agreement with the brute force in oracle.py."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarglue import oracle
+from polarglue import arith, oracle
 from polarglue.arith import (
     factor_integer,
     is_probable_prime,
@@ -49,6 +50,52 @@ def test_factorization_matches_trial_division():
         fact = factor_integer(n)
         assert fact.factors == oracle.trial_factor(n), n
         assert fact.sign == (-1 if n < 0 else 1)
+
+
+def test_factorization_reaches_pollard_rho(monkeypatch):
+    """With no trial-division stage, rho splits every composite cofactor,
+    so the agreement test above exercises it."""
+    calls = 0
+    original = arith._pollard_rho
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return original(n)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counted)
+    for n in range(1, 20_001):
+        factor_integer(n)
+    assert calls >= 40_000
+
+
+@pytest.mark.parametrize("n", [
+    999983 * 1000003,            # the primes either side of 10^6
+    1000003 ** 2,
+    2 ** 40 * (10 ** 12 + 39),
+    7 ** 20,
+    11 ** 13 * 13,
+    561, 41041, 825265, 321197185, 5394826801,  # Carmichael numbers
+])
+def test_factorization_boundary_cases(n):
+    fact = factor_integer(n)
+    assert fact.reconstruct() == n
+    assert all(is_probable_prime(p) and oracle.trial_is_prime(p) for p in fact.primes)
+    if n < 10 ** 10:
+        assert fact.factors == oracle.trial_factor(n)
+
+
+def test_factoring_primes_above_10_to_12_is_fast():
+    primes = []
+    n = 10 ** 12
+    while len(primes) < 100:
+        n += 1
+        if is_probable_prime(n):
+            primes.append(n)
+    start = time.perf_counter()
+    for p in primes:
+        assert factor_integer(p).factors == ((p, 1),)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_primality_matches_trial_division():

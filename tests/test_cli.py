@@ -222,17 +222,17 @@ def test_csv_writer_matches_csv_module():
 
 def test_scan_streams_rows():
     """Peak RSS of a q = 27 json scan (24,066 rows, about 190 MB when the
-    whole output was built before writing) stays small."""
+    whole output was built before writing) stays near 18 MB."""
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "polarglue", "scan", "--q", "27", "--format", "json"],
-        stdout=subprocess.DEVNULL, env=env,
+    res = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "polarglue",
+         "scan", "--q", "27", "--format", "json"],
+        capture_output=True, text=True, env=env, check=True,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss / 1024 < 64  # ru_maxrss is in KiB on Linux
+    code, maxrss_kib = map(int, res.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 24
 
 
 # Starts the child and prints its ru_maxrss (KiB on Linux) from os.wait4.
@@ -352,6 +352,27 @@ def test_config_file(tmp_path):
     res2 = run_cli("scan", "--q", "2", "--format", "json",
                    env_extra={"POLARGLUE_CONFIG": str(cfg)})
     json.loads(res2.stdout)
+
+
+def test_bad_config_values_exit_64_naming_the_key(tmp_path):
+    cfg = tmp_path / "polarglue.conf"
+    cases = [
+        ("format=xml", ("scan", "--q", "2")),
+        ("format=CSV", ("scan", "--q", "2")),
+        ("pretty=yes", ("check", "--q", "2", "--a1", "1", "--a2", "1", "--b", "0")),
+        ("hl2_strict=1", ("obstruct", "--q", "2", "--a1", "1", "--a2", "1")),
+    ]
+    for line, args in cases:
+        cfg.write_text(line + "\n")
+        res = run_cli(*args, env_extra={"POLARGLUE_CONFIG": str(cfg)})
+        assert res.returncode == 64, (line, res.stderr)
+        assert f"config key {line.split('=')[0]}" in res.stderr, (line, res.stderr)
+        assert res.stdout == ""
+    # booleans are case-insensitive, as before
+    cfg.write_text("pretty=TRUE\nhl2_strict=False\n")
+    res = run_cli("check", "--q", "2", "--a1", "1", "--a2", "1", "--b", "0",
+                  env_extra={"POLARGLUE_CONFIG": str(cfg)})
+    assert res.returncode == 0 and res.stdout.startswith("h(b) = -3\n")
 
 
 def test_user_errors_exit_65_with_named_class():

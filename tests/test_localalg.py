@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polarglue as pg
-from polarglue import polys
+from polarglue import oracle, polys
 from polarglue.localalg import (
     CharacteristicPrime,
     DoubleRoot,
@@ -223,7 +223,7 @@ def test_generating_needs_degree_doubling(f, ell):
 @given(surfaces(), st.sampled_from(PRIMES))
 @settings(max_examples=200)
 def test_generating_matches_direct_rules(f, ell):
-    """The minimal-polynomial computation behind the generating flag agrees
+    """The generating flag (g symmetric and g not dividing t^2 - q) agrees
     with the closed-form rules for degrees 1, 2 and 4."""
     if ell == f.field.p:
         return
@@ -237,6 +237,24 @@ def test_generating_matches_direct_rules(f, ell):
             assert r.generating == (r.factor[0] == q % ell)
         elif d == 4 and r.symmetric:
             assert r.generating
+
+
+def test_generating_matches_trace_minpoly_degree():
+    """Every surface with q <= 11 and every prime ell < 20 other than p: the
+    generating flag equals the oracle's rule, deg g = 2 deg(x + q/x)."""
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        field = pg.field_param(q)
+        for f in pg.enumerate_surfaces(field):
+            for ell in (2, 3, 5, 7, 11, 13, 17, 19):
+                if ell == field.p:
+                    continue
+                for r in classify_prime_ideals(f, ell).ideals:
+                    expected = r.symmetric and (
+                        len(r.factor) - 1 == 2 * oracle._trace_minpoly_degree(r.factor, q, ell))
+                    assert r.generating == expected, (q, f.a1, f.a2, ell, r.factor)
+                    checked += 1
+    assert checked > 20_000
 
 
 @given(surfaces(), st.sampled_from(PRIMES))
