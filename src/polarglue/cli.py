@@ -1,8 +1,9 @@
 """Command-line interface: check / scan / local / obstruct.
 
 Exit codes: 0 existence (or obstruction established), 1 non-existence,
-2 inconclusive, 64 usage error, 65 validation error, 66 output I/O error,
-70 internal error (a bug; the traceback goes to stderr).
+2 inconclusive, 64 usage error, 65 validation error, 66 output I/O error
+(also a stdout closed by its reader: the output is partial), 70 internal
+error (a bug; the traceback goes to stderr).
 JSON records follow schemas/output.v1.json; scans are byte-deterministic.
 """
 
@@ -347,7 +348,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(_load_config())
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: partial output is an output I/O error;
+        # stdout goes to devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except _VALIDATION_ERRORS as exc:
         print(f"polarglue: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,6 +9,7 @@ lying over ell != p.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -60,11 +61,24 @@ class FactorPattern:
         return all(mult == 1 for _, mult in self.factors)
 
 
+_X = [0, 1]
+
+
 def factor_mod_prime(f: Sequence[int], ell: int) -> FactorPattern:
     """Factor a monic integer polynomial of degree <= 4 into irreducibles mod ell.
 
-    Roots are found by exhaustive search; a rootless quartic is split (or not)
-    by exhaustive monic quadratic trial division.
+    Distinct-degree factorisation plus Cantor-Zassenhaus equal-degree
+    splitting (Math. Comp. 36 (1981)).  The distinct roots are the roots of
+    gcd(g, x^ell - x), split into linear factors and each divided out as
+    often as it divides.  A rootless rest of degree 2 or 3 is irreducible.
+    A rootless quartic is h^2 when gcd(g, g') has degree 2 or g' = 0 (which
+    happens only for ell = 2), a product of two distinct quadratics when
+    x^(ell^2) = x mod g, and irreducible otherwise.  No step runs over the
+    residues of ell: x^ell and x^(ell^2) take O(log ell) products of
+    polynomials of degree < 4 reduced mod g, and so does each splitting
+    attempt, which succeeds with probability about 1/2.  The cost is
+    polynomial in log ell; the reference oracle.trial_factor_mod_prime
+    searches all roots and monic quadratics, about ell^2 divisions.
     """
     g = polys.monic_mod(list(f), ell)
     if polys.degree(g) > 4:
@@ -75,38 +89,59 @@ def factor_mod_prime(f: Sequence[int], ell: int) -> FactorPattern:
         key = tuple(factor)
         counts[key] = counts.get(key, 0) + mult
 
-    for r in range(ell):
-        while polys.degree(g) >= 1 and polys.eval_mod(g, r, ell) == 0:
-            g, rem = polys.divmod_monic_mod(g, [-r, 1], ell)
-            if rem:
-                raise ArithmeticError("root division left a remainder")
-            record([(-r) % ell, 1])
+    x_ell = polys.pow_mod(_X, ell, g, ell)
+    for root in _equal_degree_split(polys.gcd_mod(g, polys.sub(x_ell, _X), ell), 1, ell):
+        quot, rem = polys.divmod_monic_mod(g, root, ell)
+        while not rem:
+            g = quot
+            record(root)
+            quot, rem = polys.divmod_monic_mod(g, root, ell)
     d = polys.degree(g)
     if d in (2, 3):
         record(g)
     elif d == 4:
-        split = None
-        for u in range(ell):
-            for v in range(ell):
-                quot, rem = polys.divmod_monic_mod(g, [v, u, 1], ell)
-                if not rem:
-                    split = ([v, u, 1], quot)
-                    break
-            if split:
-                break
-        if split:
-            cand, cof = split
-            if cand == cof:
-                record(cand, 2)
-            else:
-                record(cand)
-                record(cof)
+        slope = polys.reduce_mod(polys.derivative(g), ell)
+        if not slope:  # ell = 2 and g = x^4 + c2 x^2 + c0 = (x^2 + c2 x + c0)^2
+            record([g[0], g[2], 1], 2)
+        elif polys.degree(square_root := polys.gcd_mod(g, slope, ell)) == 2:
+            record(square_root, 2)
+        elif polys.pow_mod(x_ell, ell, g, ell) == _X:
+            for quadratic in _equal_degree_split(g, 2, ell):
+                record(quadratic)
         else:
             record(g)
     elif d == 1:
         raise ArithmeticError("a linear factor survived the root search")
     out = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return FactorPattern(ell=ell, factors=out)
+
+
+def _equal_degree_split(g: list[int], d: int, ell: int) -> list[list[int]]:
+    """The monic irreducible factors of g, a squarefree product of distinct
+    irreducibles of degree d mod ell (Cantor-Zassenhaus).
+
+    For a random h of degree < deg g, gcd(g, w) is a proper factor with
+    probability at least about 1/2, where w = h^((ell^d - 1)/2) - 1 for odd
+    ell and w is the trace h + h^2 + ... + h^(2^(d-1)) for ell = 2.  The h
+    come from a fixed seed, so every run draws the same ones.
+    """
+    n = polys.degree(g)
+    if n <= d:
+        return [g] if n == d else []
+    rng = random.Random(0)
+    while True:
+        h = [rng.randrange(ell) for _ in range(n)]
+        if ell == 2:
+            w = power = polys.divmod_monic_mod(h, g, 2)[1]
+            for _ in range(d - 1):
+                power = polys.pow_mod(power, 2, g, 2)
+                w = polys.add(w, power)
+        else:
+            w = polys.sub(polys.pow_mod(h, (ell**d - 1) // 2, g, ell), [1])
+        u = polys.gcd_mod(g, w, ell)
+        if 0 < polys.degree(u) < n:
+            v = polys.divmod_monic_mod(g, u, ell)[0]
+            return _equal_degree_split(u, d, ell) + _equal_degree_split(v, d, ell)
 
 
 def _dedekind_defect(f: Sequence[int], pattern: FactorPattern) -> dict[Factor, bool]:

@@ -2,8 +2,8 @@
 primality, Euler's-criterion quadratic characters, a d^2 | n squarefree
 test, schoolbook polynomial division over Z, divisibility in
 Z_ell[t]/(t^2 - q) by a square-root search, the degree of x + q/x in a
-residue field by linear algebra, and the exhaustive geometric-simplicity
-scan.
+residue field by linear algebra, factoring mod ell by a search over all
+roots and monic quadratics, and the exhaustive geometric-simplicity scan.
 
 These routines are deliberately naive and share no code with the
 engine's arithmetic in arith.py, so agreement between the two is
@@ -14,13 +14,17 @@ so what it checks is the engine's choice of base-change degrees and its
 closed form for ordinary surfaces.  _trace_minpoly_degree, the reference
 for the generating flag of the prime ideals over ell, multiplies and
 reduces with polys.mul_mod and polys.divmod_monic_mod.
+trial_factor_mod_prime, the reference for localalg.factor_mod_prime,
+uses polys.monic_mod, polys.degree, polys.eval_mod and
+polys.divmod_monic_mod; it shares neither polys.pow_mod nor
+polys.gcd_mod, on which the engine's factorisation rests.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .polys import divmod_monic_mod, mul_mod, normalize
+from .polys import degree, divmod_monic_mod, eval_mod, monic_mod, mul_mod, normalize
 from .weil import (
     WeilSurface,
     _elementary_from_power_sums,
@@ -162,6 +166,58 @@ def _trace_minpoly_degree(g: tuple[int, ...], q: int, ell: int) -> int:
         _, power = divmod_monic_mod(prod, g_list, ell)
         power = (power + [0] * d)[:d]
     return d
+
+
+def trial_factor_mod_prime(
+    f: list[int], ell: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Reference for localalg.factor_mod_prime: the (monic factor,
+    multiplicity) pairs of a monic polynomial of degree <= 4 mod ell, in
+    the order of FactorPattern.factors.
+
+    Roots are found by exhaustive search; a rootless quartic is split (or not)
+    by exhaustive monic quadratic trial division.
+    """
+    g = monic_mod(list(f), ell)
+    if degree(g) > 4:
+        raise ValueError("degree must be <= 4")
+    counts: dict[tuple[int, ...], int] = {}
+
+    def record(factor: list[int], mult: int = 1):
+        key = tuple(factor)
+        counts[key] = counts.get(key, 0) + mult
+
+    for r in range(ell):
+        while degree(g) >= 1 and eval_mod(g, r, ell) == 0:
+            g, rem = divmod_monic_mod(g, [-r, 1], ell)
+            if rem:
+                raise ArithmeticError("root division left a remainder")
+            record([(-r) % ell, 1])
+    d = degree(g)
+    if d in (2, 3):
+        record(g)
+    elif d == 4:
+        split = None
+        for u in range(ell):
+            for v in range(ell):
+                quot, rem = divmod_monic_mod(g, [v, u, 1], ell)
+                if not rem:
+                    split = ([v, u, 1], quot)
+                    break
+            if split:
+                break
+        if split:
+            cand, cof = split
+            if cand == cof:
+                record(cand, 2)
+            else:
+                record(cand)
+                record(cof)
+        else:
+            record(g)
+    elif d == 1:
+        raise ArithmeticError("a linear factor survived the root search")
+    return tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 GEOM_SIMPLE_SCAN_BOUND = 60

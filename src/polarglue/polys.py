@@ -99,3 +99,28 @@ def eval_mod(f: list[int], x: int, m: int) -> int:
     for c in reversed(f):
         out = (out * x + c) % m
     return out
+
+
+def pow_mod(f: list[int], e: int, g: list[int], ell: int) -> list[int]:
+    """f^e modulo the monic g and the prime ell, by repeated squaring:
+    O(log e) products of polynomials of degree < deg g."""
+    result = divmod_monic_mod([1], g, ell)[1]
+    base = divmod_monic_mod(f, g, ell)[1]
+    while e:
+        if e & 1:
+            result = divmod_monic_mod(mul(result, base), g, ell)[1]
+        e >>= 1
+        if e:
+            base = divmod_monic_mod(mul(base, base), g, ell)[1]
+    return result
+
+
+def gcd_mod(f: list[int], g: list[int], ell: int) -> list[int]:
+    """Monic greatest common divisor of f and g modulo the prime ell
+    (Euclid's algorithm); [] when both are zero mod ell."""
+    f, g = reduce_mod(f, ell), reduce_mod(g, ell)
+    while g:
+        inv = pow(g[-1], -1, ell)
+        g = [c * inv % ell for c in g]
+        f, g = g, divmod_monic_mod(f, g, ell)[1]
+    return monic_mod(f, ell)

@@ -1,6 +1,7 @@
 """Module boundaries, read from the source with ast: the engine never
 imports the test oracle, the oracle never imports the engine's arithmetic,
-and each integer primitive has exactly one definition."""
+each integer primitive and polynomial helper has exactly one definition,
+and localalg never searches over the residues of ell."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,21 @@ def test_each_primitive_is_defined_once():
     assert "_smallest_prime_factor" not in defined
     assert "squarefree_decompose" not in defined
     assert defined.get("divmod_monic") == ["oracle.py"]
+    for name in ("pow_mod", "gcd_mod"):
+        assert defined.get(name) == ["polys.py"], (name, defined.get(name))
+    assert defined.get("trial_factor_mod_prime") == ["oracle.py"]
+
+
+def test_localalg_never_loops_over_the_residues_of_ell():
+    """No range(...) in localalg.py mentions ell, so factoring mod ell
+    cannot quietly fall back to a search over F_ell."""
+    for node in ast.walk(_tree(PACKAGE / "localalg.py")):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range":
+            names = {
+                getattr(sub, "id", None) or getattr(sub, "attr", None)
+                for arg in node.args for sub in ast.walk(arg)
+            }
+            assert "ell" not in names, ast.unparse(node)
 
 
 def test_scripts_take_primitives_from_arith():

@@ -247,6 +247,25 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def test_closed_stdout_exits_66_without_traceback():
+    """A reader that stops early, as in `scan --q 7 --format csv | head -1`,
+    leaves partial output: exit 66 (output I/O error), no traceback.  The
+    160 kB of csv outgrow the pipe buffer, so the child is still writing
+    when the pipe closes."""
+    env = dict(os.environ)
+    env.pop("POLARGLUE_CONFIG", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polarglue", "scan", "--q", "7", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"a1,a2,b,h_b,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 66
+    assert b"Traceback" not in stderr
+
+
 def test_scan_csv_peak_rss_stays_flat():
     """Peak RSS of a q = 49 csv scan is about 17 MB.  A verdict memo per
     (b, h(b), p-rank, exceptional primes) raised it to 22-33 MB, so the

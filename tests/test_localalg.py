@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +48,94 @@ def test_factor_mod_prime_quadratic_square():
     # (t^2 + 1)^2 mod 3
     f = polys.mul([1, 0, 1], [1, 0, 1])
     assert factor_mod_prime(f, 3).factors == (((1, 0, 1), 2),)
+
+
+def test_factor_mod_prime_matches_trial_search_exhaustively():
+    """Against oracle.trial_factor_mod_prime: every monic polynomial of
+    degree 1-4 mod ell for ell in {2, 3, 5, 7} (3,730 of them), then f_A
+    and h_A of every surface with q <= 5 at every prime ell < 50, ell != p.
+    Both sides read only g mod ell, so each residue class is checked once:
+    the 9,184 pairs of the second set add 4,909 classes to the first."""
+    cases = {}
+    for ell in (2, 3, 5, 7):
+        for deg in range(1, 5):
+            for coeffs in itertools.product(range(ell), repeat=deg):
+                cases[(coeffs + (1,), ell)] = list(coeffs) + [1]
+    assert len(cases) == 3730
+    ells = [ell for ell in range(2, 50) if oracle.trial_is_prime(ell)]
+    for q in (2, 3, 4, 5):
+        field = pg.field_param(q)
+        for A in pg.enumerate_surfaces(field):
+            for g in (A.coefficients(), list(pg.real_weil(A).coefficients)):
+                for ell in ells:
+                    if ell != field.p:
+                        cases.setdefault((tuple(c % ell for c in g), ell), g)
+    assert len(cases) == 3730 + 4909
+    for (_, ell), g in cases.items():
+        assert factor_mod_prime(g, ell).factors == oracle.trial_factor_mod_prime(g, ell), (g, ell)
+
+
+def _expected_pattern(factors):
+    return tuple(sorted(((tuple(g), m) for g, m in factors), key=lambda kv: (len(kv[0]), kv[0])))
+
+
+@pytest.mark.parametrize("ell, a, b, quadratic, cubic", [
+    (2, 0, 1, [1, 1, 1], [1, 1, 0, 1]),
+    (3, 1, 2, [1, 0, 1], [1, 2, 0, 1]),
+])
+def test_factor_mod_prime_repeated_factors_in_small_characteristic(ell, a, b, quadratic, cubic):
+    """(t-a)^4, (t-a)^2 (t-b)^2, (t-a)^3 (t-b), g^2 for an irreducible
+    quadratic g, and a root times an irreducible cubic, at ell = 2 and 3."""
+    ta, tb = [(-a) % ell, 1], [(-b) % ell, 1]
+    cases = [
+        [(ta, 4)],
+        [(ta, 2), (tb, 2)],
+        [(ta, 3), (tb, 1)],
+        [(quadratic, 2)],
+        [(ta, 1), (cubic, 1)],
+    ]
+    for factors in cases:
+        f = [1]
+        for g, m in factors:
+            for _ in range(m):
+                f = polys.mul_mod(f, g, ell)
+        want = _expected_pattern(factors)
+        assert factor_mod_prime(f, ell).factors == want, factors
+        assert oracle.trial_factor_mod_prime(f, ell) == want, factors
+
+
+@pytest.mark.parametrize("a1, a2, ell", [
+    (-11, 51, 10007),
+    (-8, 35, 1_000_000_000_039),
+])
+def test_local_at_large_ell_is_fast(a1, a2, ell, capsys):
+    """f_A irreducible mod ell: the trial search would need about ell^2
+    divisions; distinct-degree factorisation needs O(log ell) products."""
+    from polarglue import cli
+
+    start = time.perf_counter()
+    assert cli.main(["local", "--q", "11", "--a1", str(a1), "--a2", str(a2), "--ell", str(ell)]) == 0
+    assert time.perf_counter() - start < 1.0
+    pattern = factor_mod_prime(pg.make_surface(F11, a1, a2).coefficients(), ell)
+    assert [(len(g) - 1, m) for g, m in pattern.factors] == [(4, 1)]
+    assert '"symmetric": true' in capsys.readouterr().out
+
+
+# SHA-256 over repr(classify_prime_ideals(A, ell)) + "\n" for every surface
+# with q <= 11 and every prime ell < 30 other than p, in enumeration order.
+# Recorded with the exhaustive root and quadratic search in factor_mod_prime.
+LOCAL_DIGEST = "45efe62bb4059c56b62c938d50adec4fc732a2993a72b93596b4c2442d38ea17"
+
+
+def test_local_reports_match_recorded_digest():
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        field = pg.field_param(q)
+        for A in pg.enumerate_surfaces(field):
+            for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+                if ell != field.p:
+                    digest.update(repr(classify_prime_ideals(A, ell)).encode() + b"\n")
+    assert digest.hexdigest() == LOCAL_DIGEST
 
 
 @given(surfaces(), st.sampled_from(PRIMES))
