@@ -275,17 +275,24 @@ def cmd_obstruct(args) -> int:
 
 
 def _load_config() -> dict:
+    """key=value pairs of the POLARGLUE_CONFIG file; {} when it is unset or
+    missing.  A file that cannot be read is a usage error (exit 64)."""
     path = os.environ.get("POLARGLUE_CONFIG")
     if not path or not os.path.exists(path):
         return {}
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#") or "=" not in line:
+                    continue
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else str(exc)
+        print(f"polarglue: error: config file {path}: {reason}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
     return out
 
 

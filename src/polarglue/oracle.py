@@ -3,15 +3,19 @@ primality, Euler's-criterion quadratic characters, a d^2 | n squarefree
 test, schoolbook polynomial division over Z, divisibility in
 Z_ell[t]/(t^2 - q) by a square-root search, the degree of x + q/x in a
 residue field by linear algebra, factoring mod ell by a search over all
-roots and monic quadratics, and the exhaustive geometric-simplicity scan.
+roots and monic quadratics, power sums of roots by Newton's identities,
+and the exhaustive geometric-simplicity scan.
 
 These routines are deliberately naive and share no code with the
 engine's arithmetic in arith.py, so agreement between the two is
 evidence rather than tautology.  Only the engine's trivial helpers are
-reused: divmod_monic trims zeros with polys.normalize, and
-geom_simple_scan reuses weil's power sums and quartic reducibility test,
-so what it checks is the engine's choice of base-change degrees and its
-closed form for ordinary surfaces.  _trace_minpoly_degree, the reference
+reused: divmod_monic and power_sums trim zeros with polys.normalize, and
+geom_simple_scan takes WeilSurface and the quartic reducibility test
+_weil_quartic_reducible from weil.  Its base changes come from its own
+power_sums and _elementary_from_power_sums (Newton's identities), so it
+checks the engine's base changes (a Lucas recurrence on the real
+companion), its choice of base-change degrees and its closed form for
+ordinary surfaces.  _trace_minpoly_degree, the reference
 for the generating flag of the prime ideals over ell, multiplies and
 reduces with polys.mul_mod and polys.divmod_monic_mod.
 trial_factor_mod_prime, the reference for localalg.factor_mod_prime,
@@ -25,12 +29,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .polys import degree, divmod_monic_mod, eval_mod, monic_mod, mul_mod, normalize
-from .weil import (
-    WeilSurface,
-    _elementary_from_power_sums,
-    _weil_quartic_reducible,
-    power_sums,
-)
+from .weil import WeilSurface, _weil_quartic_reducible
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -220,6 +219,43 @@ def trial_factor_mod_prime(
     return tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
+def power_sums(coeffs: list[int], count: int) -> list[int]:
+    """Power sums p_1..p_count of the roots of a monic integer polynomial.
+
+    Newton's identities for k <= deg, then the linear recurrence from the
+    coefficients; returns a list with p_k at index k-1.
+    """
+    c = normalize(coeffs)
+    n = len(c) - 1
+    if n < 1 or c[-1] != 1:
+        raise ValueError("polynomial must be monic of positive degree")
+    p: list[int] = []
+    for k in range(1, count + 1):
+        if k <= n:
+            s = -k * c[n - k]
+            for i in range(1, k):
+                s -= c[n - i] * p[k - i - 1]
+        else:
+            s = 0
+            for i in range(1, n + 1):
+                s -= c[n - i] * p[k - i - 1]
+        p.append(s)
+    return p
+
+
+def _elementary_from_power_sums(p: list[int], n: int) -> list[int]:
+    """First n elementary symmetric functions from power sums p_1..p_n."""
+    e = [1]
+    for k in range(1, n + 1):
+        s = 0
+        for i in range(1, k + 1):
+            s += (-1) ** (i - 1) * e[k - i] * p[i - 1]
+        if s % k != 0:
+            raise ArithmeticError("power sums do not come from an integral root system")
+        e.append(s // k)
+    return e[1:]
+
+
 GEOM_SIMPLE_SCAN_BOUND = 60
 
 
@@ -230,9 +266,11 @@ def geom_simple_scan(
 
     Returns (False, m) with the smallest m <= bound whose base change to
     F_(q^m) is reducible over the rationals (m = 1 means f itself), else
-    (True, None).  It shares weil's power sums and quartic
-    reducibility test; what it checks is the choice of degrees, against
-    the 13 degrees the engine tests.
+    (True, None).  Its base changes come from its own power sums, not
+    from the engine's Lucas recurrence; it shares only weil's quartic
+    reducibility test, so what it checks is the engine's base changes,
+    its choice of degrees (13 against every m <= bound) and its closed
+    form for ordinary surfaces.
     """
     q, a1, a2 = f.q, f.a1, f.a2
     if _weil_quartic_reducible(a1, a2, q):

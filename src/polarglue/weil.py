@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from typing import Iterator
 
 from . import polys
 from .arith import factor_integer, is_probable_prime, squarefree_part
@@ -190,54 +191,25 @@ def eval_real(h: RealWeilPolynomial, r: int) -> int:
     return polys.evaluate(list(h.coefficients), r)
 
 
-def power_sums(coeffs: list[int], count: int) -> list[int]:
-    """Power sums p_1..p_count of the roots of a monic integer polynomial.
+def _lucas(
+    a1: int, a2: int, q: int, last: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, a1_k, a2_k, q^k) for k = 1..last: the surface (a1, a2)
+    over F_(q^k).
 
-    Newton's identities for k <= deg, then the linear recurrence from the
-    coefficients; returns a list with p_k at index k-1.
+    The roots of h(t) = t^2 + a1 t + c, c = a2 - 2q, are beta = pi + q/pi,
+    and pi^k + (q/pi)^k = V_k(beta) with V_0 = 2, V_1 = beta and
+    V_(k+1) = beta V_k - q V_(k-1).  V_k = x + y beta is kept in
+    Z[beta]/(h), so the roots of h_k are x + y beta_i, with sum
+    2x - a1 y = -a1_k and product x^2 - a1 x y + c y^2 = a2_k - 2 q^k.
     """
-    c = polys.normalize(coeffs)
-    n = len(c) - 1
-    if n < 1 or c[-1] != 1:
-        raise ValueError("polynomial must be monic of positive degree")
-    p: list[int] = []
-    for k in range(1, count + 1):
-        if k <= n:
-            s = -k * c[n - k]
-            for i in range(1, k):
-                s -= c[n - i] * p[k - i - 1]
-        else:
-            s = 0
-            for i in range(1, n + 1):
-                s -= c[n - i] * p[k - i - 1]
-        p.append(s)
-    return p
-
-
-def _elementary_from_power_sums(p: list[int], n: int) -> list[int]:
-    """First n elementary symmetric functions from power sums p_1..p_n."""
-    e = [1]
-    for k in range(1, n + 1):
-        s = 0
-        for i in range(1, k + 1):
-            s += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        if s % k != 0:
-            raise ArithmeticError("power sums do not come from an integral root system")
-        e.append(s // k)
-    return e[1:]
-
-
-def _base_change_coeffs(coeffs: list[int], m: int) -> list[int]:
-    """Monic polynomial whose roots are the m-th powers of the input roots."""
-    n = polys.degree(coeffs)
-    p = power_sums(coeffs, n * m)
-    pm = [p[m * k - 1] for k in range(1, n + 1)]
-    e = _elementary_from_power_sums(pm, n)
-    out = [0] * (n + 1)
-    out[n] = 1
-    for k in range(1, n + 1):
-        out[n - k] = (-1) ** k * e[k - 1]
-    return out
+    c = a2 - 2 * q
+    x0, y0, x, y, qk = 2, 0, 0, 1, q
+    for k in range(1, last + 1):
+        yield k, a1 * y - 2 * x, x * x - a1 * x * y + c * y * y + 2 * qk, qk
+        # beta (x + y beta) = -c y + (x - a1 y) beta, as beta^2 = -a1 beta - c
+        x0, y0, x, y = x, y, -c * y - q * x0, x - a1 * y - q * y0
+        qk *= q
 
 
 def base_change(f: WeilSurface | WeilElliptic, m: int) -> WeilSurface | WeilElliptic:
@@ -247,16 +219,13 @@ def base_change(f: WeilSurface | WeilElliptic, m: int) -> WeilSurface | WeilElli
     if m == 1:
         return f
     ext = FieldParam(q=f.field.q ** m, p=f.field.p, a=f.field.a * m)
-    c = _base_change_coeffs(f.coefficients(), m)
     if isinstance(f, WeilSurface):
-        a1, a2 = c[3], c[2]
-        if c[1] != ext.q * a1 or c[0] != ext.q * ext.q:
-            raise ArithmeticError("base change lost the functional equation")
+        *_, (_, a1, a2, _) = _lucas(f.a1, f.a2, f.q, m)
         return make_surface(ext, a1, a2)
-    b = -c[1]
-    if c[0] != ext.q:
-        raise ArithmeticError("base change lost the functional equation")
-    return make_elliptic(ext, b)
+    # E x E has h = (t - b)^2, i.e. a1 = -2b and a2 = b^2 + 2q, so that
+    # a1_m = -2 V_m(b) = -2 b_m
+    *_, (_, a1, _, _) = _lucas(-2 * f.b, f.b * f.b + 2 * f.q, f.q, m)
+    return make_elliptic(ext, -a1 // 2)
 
 
 def classify_p_rank(f: WeilSurface | WeilElliptic) -> PRank:
@@ -295,15 +264,12 @@ def fundamental_discriminant(B: WeilElliptic) -> int:
 def _weil_quartic_reducible(c3: int, c2: int, qm: int) -> bool:
     """Reducibility over Q of a quartic all of whose roots have |.| = sqrt(qm).
 
-    Any rational root is then +-sqrt(qm) and any monic quadratic factor has
-    constant term +-qm, so only finitely many factor shapes need checking.
+    Any monic quadratic factor then has constant term +-qm, so only finitely
+    many factor shapes need checking.  A rational root r = +-sqrt(qm) needs
+    no test of its own: 2r is then an integer root of the real companion
+    t^2 + c3 t + (c2 - 2 qm), so its discriminant is the square that the
+    first shape tests.
     """
-    s = isqrt(qm)
-    if s * s == qm:
-        # f(+-s) with c1 = qm*c3, c0 = qm^2
-        for r in (s, -s):
-            if r ** 4 + c3 * r ** 3 + c2 * r * r + qm * c3 * r + qm * qm == 0:
-                return True
     # (t^2 + x t + qm)(t^2 + y t + qm): x + y = c3, x y = c2 - 2 qm
     d = c3 * c3 - 4 * (c2 - 2 * qm)
     if d >= 0 and isqrt(d) ** 2 == d:
@@ -350,7 +316,10 @@ def is_geometrically_simple(f: WeilSurface) -> tuple[bool, int | None]:
     excluded because f is separable.  The smallest reducing m is the
     smallest such n over all pairs i != j, so it always lies in
     SPLITTING_DEGREES, and testing those degrees in increasing order gives
-    the same answer as testing every m.
+    the same answer as testing every m.  The base changes come from one
+    walk of the Lucas recurrence on the real companion h (_lucas, which
+    base_change also uses) up to m = 30; the quartic is tested for
+    reducibility only at those degrees.
 
     oracle.geom_simple_scan keeps the scan over every m <= 60 as the
     reference for both branches.
@@ -379,14 +348,7 @@ def _howe_zhu(a1: int, a2: int, q: int) -> tuple[bool, int | None]:
 
 def _splitting_degree(a1: int, a2: int, q: int) -> tuple[bool, int | None]:
     """The SPLITTING_DEGREES search for an irreducible quartic."""
-    ps = power_sums([q * q, q * a1, a2, a1, 1], 4 * SPLITTING_DEGREES[-1])
-    for m in SPLITTING_DEGREES:
-        pm = [ps[m * k - 1] for k in range(1, 5)]
-        e = _elementary_from_power_sums(pm, 4)
-        c3, c2 = -e[0], e[1]
-        qm = q ** m
-        if e[2] != qm * e[0] or e[3] != qm * qm:
-            raise ArithmeticError("base change lost the functional equation")
-        if _weil_quartic_reducible(c3, c2, qm):
+    for m, c3, c2, qm in _lucas(a1, a2, q, SPLITTING_DEGREES[-1]):
+        if m in SPLITTING_DEGREES and _weil_quartic_reducible(c3, c2, qm):
             return (False, m)
     return (True, None)

@@ -1,7 +1,8 @@
 """Module boundaries, read from the source with ast: the engine never
-imports the test oracle, the oracle never imports the engine's arithmetic,
-each integer primitive and polynomial helper has exactly one definition,
-and localalg never searches over the residues of ell."""
+imports the test oracle, the oracle never imports the engine's arithmetic
+and takes from weil only the surface type and the quartic reducibility
+test, each integer primitive and polynomial helper has exactly one
+definition, and localalg never searches over the residues of ell."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,23 @@ def test_each_primitive_is_defined_once():
     for name in ("pow_mod", "gcd_mod"):
         assert defined.get(name) == ["polys.py"], (name, defined.get(name))
     assert defined.get("trial_factor_mod_prime") == ["oracle.py"]
+    for name in ("power_sums", "_elementary_from_power_sums"):
+        assert defined.get(name) == ["oracle.py"], (name, defined.get(name))
+    assert "_base_change_coeffs" not in defined
+
+
+def test_oracle_takes_only_the_surface_type_and_reducibility_test_from_weil():
+    """Base change in the oracle is its own (power sums), so the only names
+    it takes from weil are the surface type and the quartic factor-shape
+    test."""
+    taken = set()
+    for node in ast.walk(_tree(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.ImportFrom) and node.module in ("weil", "polarglue.weil"):
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            assert "weil" not in names and "polarglue.weil" not in names, ast.unparse(node)
+    assert taken == {"WeilSurface", "_weil_quartic_reducible"}
 
 
 def test_localalg_never_loops_over_the_residues_of_ell():

@@ -394,6 +394,22 @@ def test_bad_config_values_exit_64_naming_the_key(tmp_path):
     assert res.returncode == 0 and res.stdout.startswith("h(b) = -3\n")
 
 
+def test_unreadable_config_file_exits_64_naming_the_file(tmp_path):
+    """A directory or a non-UTF-8 file is a usage error, not a traceback
+    under the 'no irreducible pp' exit code 1; a missing file is ignored."""
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"format=csv\n\xff\xfe\n")
+    for path in (tmp_path, binary):
+        res = run_cli("scan", "--q", "2", env_extra={"POLARGLUE_CONFIG": str(path)})
+        assert res.returncode == 64, (path, res.stderr)
+        assert f"config file {path}: " in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+    res = run_cli("scan", "--q", "2", "--format", "csv",
+                  env_extra={"POLARGLUE_CONFIG": str(tmp_path / "missing.conf")})
+    assert res.returncode == 0 and res.stdout.startswith("a1,a2,b,")
+
+
 def test_user_errors_exit_65_with_named_class():
     cases = [
         (("check", "--q", "12", "--a1", "0", "--a2", "0", "--b", "0"), "NotPrimePower"),

@@ -260,8 +260,34 @@ def test_geometric_simplicity_witness_is_minimal(f):
 @given(surfaces(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=80, deadline=None)
 def test_power_sums_match_base_change_traces(f, m):
-    ps = pg.weil.power_sums(f.coefficients(), 4 * m)
+    ps = oracle.power_sums(f.coefficients(), 4 * m)
     assert ps[m - 1] == -pg.base_change(f, m).a1
+
+
+def test_surface_base_change_matches_power_sums_exhaustively():
+    """The Lucas recurrence against Newton's identities: over F_(q^m) the
+    roots are pi^m, so a1_m = -p_m and a2_m = e_2 = (p_m^2 - p_2m) / 2, for
+    every surface over every prime power q <= 27 (FIELDS) and m <= 12."""
+    for field in FIELDS:
+        for f in pg.enumerate_surfaces(field):
+            ps = oracle.power_sums(f.coefficients(), 24)
+            for m in range(1, 13):
+                g = pg.base_change(f, m)
+                pm, p2m = ps[m - 1], ps[2 * m - 1]
+                assert (g.q, g.a1, g.a2) == (f.q ** m, -pm, (pm * pm - p2m) // 2), (f, m)
+
+
+def test_elliptic_base_change_matches_power_sums_exhaustively():
+    """b_m = pi^m + (q/pi)^m = p_m of t^2 - b t + q, for every trace over
+    every prime power q <= 27 (FIELDS) and m <= 12."""
+    for field in FIELDS:
+        q = field.q
+        for b in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+            e = pg.make_elliptic(field, b)
+            ps = oracle.power_sums(e.coefficients(), 12)
+            for m in range(1, 13):
+                g = pg.base_change(e, m)
+                assert (g.q, g.b) == (q ** m, ps[m - 1]), (e, m)
 
 
 def _divisors(n):
@@ -309,3 +335,15 @@ def test_irreducibility_shortcut_matches_bruteforce(f):
     q = f.q
     assert pg.weil.is_irreducible(f) == _quartic_irreducible_bruteforce(
         f.a1, f.a2, q * f.a1, q * q)
+
+
+def test_irreducibility_shortcut_matches_bruteforce_where_sqrt_qm_is_rational():
+    """Every surface over the square fields q in {4, 9, 16, 25}, and the
+    m = 2 base change of every surface with q <= 9: the quartics that could
+    have a rational root +-sqrt(qm)."""
+    cases = [f for q in (4, 9, 16, 25) for f in pg.enumerate_surfaces(pg.field_param(q))]
+    cases += [pg.base_change(f, 2) for F in SMALL_FIELDS for f in pg.enumerate_surfaces(F)]
+    for f in cases:
+        q = f.q
+        assert pg.weil.is_irreducible(f) == _quartic_irreducible_bruteforce(
+            f.a1, f.a2, q * f.a1, q * q), f
