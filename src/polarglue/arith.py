@@ -36,6 +36,11 @@ class PrimeFactorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    @property
+    def squarefree_part(self) -> int:
+        """Squarefree integer d0 with n = d0 * (square); sign preserved."""
+        return self.sign * math.prod(p for p, e in self.factors if e % 2)
+
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n < 3.3e24 via fixed witness set."""
@@ -129,13 +134,7 @@ def factor_integer(n: int) -> PrimeFactorization:
 
 def squarefree_part(n: int) -> int:
     """Squarefree integer d0 with n = d0 * (square); sign preserved."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    out = -1 if n < 0 else 1
-    for p, e in _prime_counts(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    return factor_integer(n).squarefree_part
 
 
 def is_squarefree(n: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from math import isqrt
 
 from . import polys
 from .arith import factor_integer, is_probable_prime, is_squarefree, kronecker_symbol
@@ -27,7 +28,7 @@ from .weil import (
     WeilSurface,
     classify_p_rank,
     eval_real,
-    fundamental_discriminant,
+    fundamental_discriminant_of,
     is_geometrically_simple,
     is_irreducible,
     real_weil,
@@ -330,39 +331,54 @@ def _exists(ell: int, branch: Branch) -> GluingVerdict:
 @dataclass(frozen=True)
 class EllipticInvariants:
     """What the verdict needs from the elliptic curve: its p-rank and the
-    discriminant Delta_B of its endomorphism algebra."""
+    primes ell != p of b^2 - 4q, the only ones where Delta_B = -ell or a
+    double root can occur.  failures maps each ell failing either test to
+    its reasons; reducible holds each ell whose double-root test holds."""
 
     elliptic: WeilElliptic
     p_rank: PRank
-    delta: int
+    failures: dict[int, tuple[str, ...]]
+    reducible: frozenset[int]
 
     @classmethod
     def of(cls, B: WeilElliptic) -> "EllipticInvariants":
-        return cls(B, classify_p_rank(B), fundamental_discriminant(B))
+        disc = factor_integer(B.discriminant())
+        delta = fundamental_discriminant_of(disc)
+        failures, reducible = {}, set()
+        for ell in disc.primes:
+            if ell == B.field.p:
+                continue
+            reasons = [f"Delta_B = {delta} equals -ell"] if delta == -ell else []
+            status, t1 = double_root_condition(B, ell)
+            if status is DoubleRoot.FAILS:
+                value = t1 * t1 - B.b * t1 + B.q
+                reasons.append(f"double root t1 = {t1}: {ell}^2 does not divide f_B(t1) = {value}")
+            elif status is DoubleRoot.SATISFIED:
+                reducible.add(ell)
+            if reasons:
+                failures[ell] = tuple(reasons)
+        return cls(B, classify_p_rank(B), failures, frozenset(reducible))
 
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
     """What the verdict needs from the surface: its p-rank, its real
-    companion h and, per prime, whether the prime is exceptional (memoized,
-    so each (surface, ell) pair runs is_exceptional once)."""
+    companion h and its exceptional primes ell != p, among those with
+    ell^2 | disc(h); none when disc(h) is 0 or a square (h reducible)."""
 
     surface: WeilSurface
     p_rank: PRank
     h: RealWeilPolynomial
-    _exceptional: dict[int, bool] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    exceptional: frozenset[int]
 
     @classmethod
     def of(cls, A: WeilSurface) -> "SurfaceInvariants":
-        return cls(A, classify_p_rank(A), real_weil(A))
-
-    def exceptional(self, ell: int) -> bool:
-        flag = self._exceptional.get(ell)
-        if flag is None:
-            flag = self._exceptional[ell] = is_exceptional(self.surface, ell)[0]
-        return flag
+        disc = A.real_discriminant()
+        exceptional = frozenset() if isqrt(disc) ** 2 == disc else frozenset(
+            ell for ell, e in factor_integer(disc).factors
+            if e >= 2 and ell != A.field.p and is_exceptional(A, ell)[0]
+        )
+        return cls(A, classify_p_rank(A), real_weil(A), exceptional)
 
 
 def decide_from_invariants(
@@ -371,55 +387,39 @@ def decide_from_invariants(
     """The verdict for A x B from its three pieces: the surface and elliptic
     invariants, and h(b) != 0 with its prime divisors in increasing order.
 
-    Iterates over the primes and returns the first one satisfying all gluing
-    conditions; primes away from p need Delta_B != -ell, a non-failing
-    double-root test, and ordinarity whenever ell is exceptional, while
-    ell = p follows the ordinary / supersingular case split.  If no prime
-    qualifies the verdict is Inconclusive with a per-prime failure log.
-    Geometric simplicity is the caller's to enforce.  The conclusive
-    verdicts are shared objects: one per (witness ell, branch) and one for
-    h(b) = +-1; only an Inconclusive verdict is built per call.
+    Returns the first prime satisfying all gluing conditions, by set
+    lookups only: ell = p follows the ordinary / supersingular case split;
+    any other ell fails with B.failures[ell], plus a reason if ell is in
+    A.exceptional and A is not ordinary, and otherwise glues on the
+    exceptional, reducible_mod_l or generic branch.  If no prime qualifies
+    the verdict is Inconclusive with a per-prime failure log.  Geometric
+    simplicity is the caller's to enforce.  Conclusive verdicts are shared
+    objects; only an Inconclusive verdict is built per call.
     """
     if abs(hb) == 1:
         return _HB_UNIT
-    E = B.elliptic
-    p = E.field.p
+    p = B.elliptic.field.p
     failures: list[PrimeFailure] = []
     for ell in primes:
-        reasons: list[str] = []
-        branch: Branch | None = None
         if ell == p:
             if B.p_rank is PRank.ORDINARY or A.p_rank is PRank.MIXED:
-                branch = Branch.P_BRANCH
-            else:
-                reasons.append(
-                    "p-branch needs an ordinary elliptic curve, or a "
-                    "supersingular one against a mixed surface"
-                )
+                return _exists(ell, Branch.P_BRANCH)
+            reasons: tuple[str, ...] = (
+                "p-branch needs an ordinary elliptic curve, or a "
+                "supersingular one against a mixed surface",
+            )
         else:
-            if B.delta == -ell:
-                reasons.append(f"Delta_B = {B.delta} equals -ell")
-            status, t1 = double_root_condition(E, ell)
-            if status is DoubleRoot.FAILS:
-                value = t1 * t1 - E.b * t1 + E.q
-                reasons.append(
-                    f"double root t1 = {t1}: {ell}^2 does not divide f_B(t1) = {value}"
+            reasons = B.failures.get(ell, ())
+            if ell in A.exceptional:
+                if A.p_rank is not PRank.ORDINARY:
+                    reasons += (f"{ell} is exceptional but the surface is {A.p_rank.value}",)
+                elif not reasons:
+                    return _exists(ell, Branch.EXCEPTIONAL)
+            elif not reasons:
+                return _exists(
+                    ell, Branch.REDUCIBLE_MOD_L if ell in B.reducible else Branch.GENERIC
                 )
-            exceptional = A.exceptional(ell)
-            if exceptional and A.p_rank is not PRank.ORDINARY:
-                reasons.append(
-                    f"{ell} is exceptional but the surface is {A.p_rank.value}"
-                )
-            if not reasons:
-                if exceptional:
-                    branch = Branch.EXCEPTIONAL
-                elif status is DoubleRoot.SATISFIED:
-                    branch = Branch.REDUCIBLE_MOD_L
-                else:
-                    branch = Branch.GENERIC
-        if branch is not None:
-            return _exists(ell, branch)
-        failures.append(PrimeFailure(ell=ell, reasons=tuple(reasons)))
+        failures.append(PrimeFailure(ell=ell, reasons=reasons))
     return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
 
 
@@ -446,7 +446,7 @@ def evaluate_pair(
 ) -> ScanRow:
     """The row for A x B: h(b), its prime divisors (looked up in the memo
     primes_of, or factored and stored there), the verdict of
-    decide_from_invariants and the exceptional primes of h(b)."""
+    decide_from_invariants and the primes of h(b) in A.exceptional."""
     E = B.elliptic
     h_b = eval_real(A.h, E.b)
     if h_b == 0:
@@ -454,12 +454,11 @@ def evaluate_pair(
     primes = primes_of.get(h_b)
     if primes is None:
         primes = primes_of[h_b] = factor_integer(h_b).primes
-    p = E.field.p
     return ScanRow(
         surface=A.surface, elliptic=E, h_b=h_b,
         verdict=decide_from_invariants(A, B, h_b, primes),
         surface_p_rank=A.p_rank, elliptic_p_rank=B.p_rank,
-        exceptional_primes=tuple(ell for ell in primes if ell != p and A.exceptional(ell)),
+        exceptional_primes=tuple(ell for ell in primes if ell in A.exceptional),
     )
 
 

@@ -22,7 +22,6 @@ from .weil import (
     ValidationError,
     WeilElliptic,
     WeilSurface,
-    fundamental_discriminant_of,
     real_weil,
 )
 
@@ -192,21 +191,25 @@ class SplittingType(Enum):
 def splitting_in_real_subfield(h: RealWeilPolynomial, ell: int) -> SplittingType:
     """Splitting of ell in the maximal order of K+ = Q[t]/h (h quadratic).
 
-    This is the splitting in the ring of integers, read off the Kronecker
-    symbol of the fundamental discriminant; the order Z[t]/h itself may be
-    smaller at ell.
+    This is the splitting in the ring of integers; the order Z[t]/h itself
+    may be smaller at ell.  Write disc(h) = ell^v * m with ell not dividing
+    m: ell ramifies when v is odd, or when ell = 2 and m = 3 mod 4;
+    otherwise (m | ell) = 1 means split and -1 inert.  Nothing is factored.
     """
     if h.degree != 2:
         raise ValueError("h must be quadratic")
+    if ell < 2:
+        raise NotPrime(f"ell = {ell} is not prime")
     disc = h.discriminant()
     if disc >= 0 and isqrt(disc) ** 2 == disc:
         raise ReducibleField(f"disc(h) = {disc} is a perfect square")
-    symbol = kronecker_symbol(fundamental_discriminant_of(disc), ell)
-    if symbol == 1:
-        return SplittingType.SPLIT
-    if symbol == -1:
-        return SplittingType.INERT
-    return SplittingType.RAMIFIED
+    v, m = 0, disc
+    while m % ell == 0:
+        m //= ell
+        v += 1
+    if v % 2 or (ell == 2 and m % 4 == 3):
+        return SplittingType.RAMIFIED
+    return SplittingType.SPLIT if kronecker_symbol(m, ell) == 1 else SplittingType.INERT
 
 
 def is_exceptional(f: WeilSurface, ell: int) -> tuple[bool, Factor | None]:
@@ -224,8 +227,7 @@ def is_exceptional(f: WeilSurface, ell: int) -> tuple[bool, Factor | None]:
         return (False, None)
     if isqrt(disc) ** 2 == disc:
         return (False, None)
-    h = real_weil(f)
-    if splitting_in_real_subfield(h, ell) is not SplittingType.INERT:
+    if splitting_in_real_subfield(real_weil(f), ell) is not SplittingType.INERT:
         return (False, None)
     q = f.q
     ell2 = ell * ell

@@ -4,7 +4,7 @@ test, schoolbook polynomial division over Z, divisibility in
 Z_ell[t]/(t^2 - q) by a square-root search, the degree of x + q/x in a
 residue field by linear algebra, factoring mod ell by a search over all
 roots and monic quadratics, power sums of roots by Newton's identities,
-and the exhaustive geometric-simplicity scan.
+the exhaustive geometric-simplicity scan, and the per-prime verdict rule.
 
 These routines are deliberately naive and share no code with the
 engine's arithmetic in arith.py, so agreement between the two is
@@ -22,14 +22,29 @@ trial_factor_mod_prime, the reference for localalg.factor_mod_prime,
 uses polys.monic_mod, polys.degree, polys.eval_mod and
 polys.divmod_monic_mod; it shares neither polys.pow_mod nor
 polys.gcd_mod, on which the engine's factorisation rests.
+
+decide_reference, the reference for gluing.decide_from_invariants and a
+scan row's exceptional primes, is the per-(pair, prime) rule that the
+engine replaced with per-curve and per-surface prime sets: it factors
+h(b) with trial_factor, takes Delta_B from trial_squarefree_part, and
+runs the engine's local tests double_root_condition and is_exceptional
+afresh at every prime of every pair (and classify_p_rank once per pair),
+so what it checks is how the engine assembles them.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+from .localalg import DoubleRoot, double_root_condition, is_exceptional
 from .polys import degree, divmod_monic_mod, eval_mod, monic_mod, mul_mod, normalize
-from .weil import WeilSurface, _weil_quartic_reducible
+from .weil import (
+    PRank,
+    WeilElliptic,
+    WeilSurface,
+    _weil_quartic_reducible,
+    classify_p_rank,
+)
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -286,3 +301,54 @@ def geom_simple_scan(
         if _weil_quartic_reducible(c3, c2, qm):
             return (False, m)
     return (True, None)
+
+
+def decide_reference(A: WeilSurface, B: WeilElliptic) -> tuple:
+    """Reference verdict for A x B with h(b) != 0, as plain values:
+    ((kind, witness ell, branch, reason, ((ell, reasons), ...)),
+    exceptional primes of h(b) other than p).  The double-root and
+    exceptional tests run at every prime of h(b) of every pair."""
+    q, p = A.q, A.field.p
+    hb = B.b * B.b + A.a1 * B.b + A.a2 - 2 * q
+    primes = [ell for ell, _ in trial_factor(hb)]
+    flags = {ell: is_exceptional(A, ell)[0] for ell in primes if ell != p}
+    exceptional = tuple(ell for ell, flag in flags.items() if flag)
+    if abs(hb) == 1:
+        return ("no_irreducible_pp", None, None, "hb_unit", ()), exceptional
+    rank_a, rank_b = classify_p_rank(A), classify_p_rank(B)
+    d0 = trial_squarefree_part(B.b * B.b - 4 * q)
+    delta = d0 if d0 % 4 == 1 else 4 * d0
+    failures = []
+    for ell in primes:
+        reasons = []
+        branch = None
+        if ell == p:
+            if rank_b is PRank.ORDINARY or rank_a is PRank.MIXED:
+                branch = "p_branch"
+            else:
+                reasons.append(
+                    "p-branch needs an ordinary elliptic curve, or a "
+                    "supersingular one against a mixed surface"
+                )
+        else:
+            if delta == -ell:
+                reasons.append(f"Delta_B = {delta} equals -ell")
+            status, t1 = double_root_condition(B, ell)
+            if status is DoubleRoot.FAILS:
+                value = t1 * t1 - B.b * t1 + q
+                reasons.append(
+                    f"double root t1 = {t1}: {ell}^2 does not divide f_B(t1) = {value}"
+                )
+            if flags[ell] and rank_a is not PRank.ORDINARY:
+                reasons.append(f"{ell} is exceptional but the surface is {rank_a.value}")
+            if not reasons:
+                if flags[ell]:
+                    branch = "exceptional"
+                elif status is DoubleRoot.SATISFIED:
+                    branch = "reducible_mod_l"
+                else:
+                    branch = "generic"
+        if branch is not None:
+            return ("irreducible_pp_exists", ell, branch, None, ()), exceptional
+        failures.append((ell, tuple(reasons)))
+    return ("inconclusive", None, None, None, tuple(failures)), exceptional

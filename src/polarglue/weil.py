@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterator
 
 from . import polys
-from .arith import factor_integer, is_probable_prime, squarefree_part
+from .arith import PrimeFactorization, factor_integer, is_probable_prime
 
 
 class ValidationError(ValueError):
@@ -248,9 +248,9 @@ def _vp_at_least(n: int, p: int, k: int) -> bool:
     return n % p ** k == 0
 
 
-def fundamental_discriminant_of(d: int) -> int:
-    """Fundamental discriminant of Q(sqrt(d)); 1 when d is a square."""
-    d0 = squarefree_part(d)
+def fundamental_discriminant_of(d: int | PrimeFactorization) -> int:
+    """Fundamental discriminant of Q(sqrt(d)), d given or factored; 1 for a square."""
+    d0 = (d if isinstance(d, PrimeFactorization) else factor_integer(d)).squarefree_part
     return d0 if d0 % 4 == 1 else 4 * d0
 
 

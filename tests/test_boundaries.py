@@ -1,8 +1,8 @@
 """Module boundaries, read from the source with ast: the engine never
 imports the test oracle, the oracle never imports the engine's arithmetic
-and takes from weil only the surface type and the quartic reducibility
-test, each integer primitive and polynomial helper has exactly one
-definition, and localalg never searches over the residues of ell."""
+and takes no base change from weil, each integer primitive and polynomial
+helper has exactly one definition, and localalg never searches over the
+residues of ell."""
 
 import ast
 from pathlib import Path
@@ -69,10 +69,11 @@ def test_each_primitive_is_defined_once():
     assert "_base_change_coeffs" not in defined
 
 
-def test_oracle_takes_only_the_surface_type_and_reducibility_test_from_weil():
+def test_oracle_takes_no_base_change_from_weil():
     """Base change in the oracle is its own (power sums), so the only names
-    it takes from weil are the surface type and the quartic factor-shape
-    test."""
+    it takes from weil are the two variety types, the quartic factor-shape
+    test, and the p-rank classification that decide_reference needs for
+    the p-branch."""
     taken = set()
     for node in ast.walk(_tree(PACKAGE / "oracle.py")):
         if isinstance(node, ast.ImportFrom) and node.module in ("weil", "polarglue.weil"):
@@ -80,7 +81,9 @@ def test_oracle_takes_only_the_surface_type_and_reducibility_test_from_weil():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = {alias.name for alias in node.names}
             assert "weil" not in names and "polarglue.weil" not in names, ast.unparse(node)
-    assert taken == {"WeilSurface", "_weil_quartic_reducible"}
+    assert taken == {
+        "WeilSurface", "WeilElliptic", "_weil_quartic_reducible", "PRank", "classify_p_rank",
+    }
 
 
 def test_localalg_never_loops_over_the_residues_of_ell():

@@ -88,6 +88,31 @@ def test_check_flags_split_surface():
     assert rec["flags"]["geometrically_simple"] == "false"
 
 
+def test_check_split_surface_with_zero_real_discriminant():
+    # h = t^2 - 0 t + 0 has disc(h) = 0: no exceptional prime can be looked
+    # for, and the lone prime of h(2) = 4 fails the p-branch
+    res = run_cli("check", "--q", "2", "--a1", "0", "--a2", "4", "--b", "2")
+    assert res.returncode == 2
+    rec = json.loads(res.stdout)
+    validate(rec)
+    assert rec["flags"]["geometrically_simple"] == "false"
+    assert rec["verdict"]["failures"] == [{"ell": 2, "reasons": [
+        "p-branch needs an ordinary elliptic curve, or a supersingular one "
+        "against a mixed surface"]}]
+
+
+def test_check_rejects_split_surface_with_square_real_discriminant():
+    # disc(h) = 0 with h(1) = 1, and disc(h) = 9: a verdict that asserts
+    # something on a split surface exits 65
+    for args in (("--a1", "0", "--a2", "4", "--b", "1"),
+                 ("--a1", "1", "--a2", "2", "--b", "0")):
+        res = run_cli("check", "--q", "2", *args)
+        assert res.returncode == 65, args
+        assert res.stdout == ""
+        assert "NotGeometricallySimple" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_check_validation_error():
     res = run_cli("check", "--q", "2", "--a1", "9", "--a2", "0", "--b", "0")
     assert res.returncode == 65

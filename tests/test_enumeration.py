@@ -116,3 +116,53 @@ def test_enumeration_is_complete():
                 assert (a1, a2) not in listed
             else:
                 assert (a1, a2) in listed
+
+
+DECIDE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)
+
+
+def _row_values(row):
+    """A scan row in the plain shape of oracle.decide_reference."""
+    v = row.verdict
+    verdict = (
+        v.kind.value, v.witness_ell, v.branch and v.branch.value,
+        v.reason and v.reason.value, tuple((f.ell, f.reasons) for f in v.failures),
+    )
+    return verdict, row.exceptional_primes
+
+
+def test_scan_rows_match_decide_reference_exhaustively():
+    """Every scan row over the test fields q <= 49 has the verdict (kind,
+    witness, branch, reason and failure texts) and the exceptional primes
+    of the per-(pair, prime) reference, which reruns the local tests at
+    every prime of h(b) instead of reading the per-curve and per-surface
+    prime sets."""
+    rows = 0
+    for q in DECIDE_FIELDS:
+        for row in pg.scan_pairs(pg.field_param(q)):
+            want = oracle.decide_reference(row.surface, row.elliptic)
+            assert _row_values(row) == want, row
+            rows += 1
+    assert rows > 100_000
+
+
+def test_quadratic_twins_decide_alike():
+    """(a1, a2, b) and (-a1, a2, -b) are quadratic twists of each other
+    (f(t) -> f(-t)), so both rows are present and agree on h(b), p-ranks,
+    exceptional primes and every decision field.  Only the failure texts
+    may differ, since the printed double root t1 = b/2 mod ell changes
+    sign with b; the failing primes must agree."""
+    for q in (q for q in DECIDE_FIELDS if q <= 27):
+        rows = {
+            (r.surface.a1, r.surface.a2, r.elliptic.b): r
+            for r in pg.scan_pairs(pg.field_param(q))
+        }
+        for (a1, a2, b), row in rows.items():
+            twin = rows[(-a1, a2, -b)]
+            v, w = row.verdict, twin.verdict
+            assert (row.h_b, row.surface_p_rank, row.elliptic_p_rank,
+                    row.exceptional_primes) == (twin.h_b, twin.surface_p_rank,
+                                                twin.elliptic_p_rank, twin.exceptional_primes)
+            assert (v.kind, v.witness_ell, v.branch, v.reason) == (
+                w.kind, w.witness_ell, w.branch, w.reason), (q, a1, a2, b)
+            assert [f.ell for f in v.failures] == [f.ell for f in w.failures]

@@ -249,3 +249,53 @@ def test_hl_consistency_with_valuation():
             for ell, _ in oracle.trial_factor(h2s):
                 if ell != field.p:
                     assert ss_quadratic_gluing_valuation(A, s, ell) == 0
+
+
+def test_rows_are_decided_by_lookups_only(monkeypatch):
+    """Once the per-surface and per-elliptic invariants exist, deciding a
+    row runs no local test, and the surface invariants hold no mutable
+    state."""
+    from dataclasses import fields
+
+    from polarglue import gluing, localalg, weil
+
+    field = pg.field_param(13)
+    surfaces = [gluing.SurfaceInvariants.of(A)
+                for A in pg.enumerate_surfaces(field, geometrically_simple=True)]
+    elliptics = [gluing.EllipticInvariants.of(B)
+                 for B in pg.enumerate_elliptics(field, irreducible=True)]
+    assert [f.name for f in fields(gluing.SurfaceInvariants)] == [
+        "surface", "p_rank", "h", "exceptional"]
+    assert all(type(S.exceptional) is frozenset for S in surfaces)
+
+    def forbidden(*args):
+        raise AssertionError(f"local test on the per-row path: {args}")
+
+    for module in (gluing, localalg, weil):
+        for name in ("double_root_condition", "is_exceptional",
+                     "fundamental_discriminant", "fundamental_discriminant_of"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    primes_of = {}
+    for S in surfaces:
+        for E in elliptics:
+            gluing.evaluate_pair(S, E, primes_of)
+    assert len(surfaces) * len(elliptics) > 2000
+
+
+def test_check_factors_no_integer_twice(monkeypatch):
+    """One check factors q, b^2 - 4q, disc(h) and h(b), each once."""
+    from polarglue import arith, gluing, weil
+
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        return arith.factor_integer(n)
+
+    for module in (gluing, weil):
+        monkeypatch.setattr(module, "factor_integer", counting)
+    q = 10 ** 12 + 39
+    field = weil.field_param(q)
+    gluing.decide_pair(pg.make_surface(field, 3, 7), pg.make_elliptic(field, 5))
+    assert len(seen) == len(set(seen)) == 4, seen

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from polarglue import oracle, polys
 from polarglue.localalg import (
     CharacteristicPrime,
     DoubleRoot,
+    NotPrime,
     ReducibleField,
     SplittingType,
     _dedekind_defect,
@@ -188,6 +190,36 @@ def test_splitting_examples():
     assert splitting_in_real_subfield(h18, 2) is SplittingType.RAMIFIED
     with pytest.raises(ReducibleField):
         splitting_in_real_subfield(pg.RealWeilPolynomial((0, 0, 1), F2), 3)
+
+
+def test_splitting_matches_fundamental_discriminant_exhaustively():
+    """splitting_in_real_subfield reads only the ell-part of disc(h); the
+    reference is the Kronecker symbol, by Euler's criterion, of the
+    fundamental discriminant built from a trial-division squarefree part.
+    Every non-square discriminant of a monic quadratic with |d| <= 20000,
+    at every prime ell <= 13."""
+    cases = 0
+    for d in range(-20000, 20001):
+        if d % 4 not in (0, 1) or (d >= 0 and math.isqrt(d) ** 2 == d):
+            continue
+        c1 = d % 2
+        h = pg.RealWeilPolynomial(((c1 - d) // 4, c1, 1), F2)
+        d0 = oracle.trial_squarefree_part(d)
+        fundamental = d0 if d0 % 4 == 1 else 4 * d0
+        for ell in (2, 3, 5, 7, 11, 13):
+            symbol = oracle.kronecker_at_prime(fundamental, ell)
+            want = {1: SplittingType.SPLIT, -1: SplittingType.INERT,
+                    0: SplittingType.RAMIFIED}[symbol]
+            assert splitting_in_real_subfield(h, ell) is want, (d, ell)
+            cases += 1
+    assert cases > 100_000
+
+
+def test_splitting_rejects_non_prime_ell():
+    h = pg.RealWeilPolynomial((-18, 0, 1), F2)
+    for ell in (1, 0, -3):
+        with pytest.raises(NotPrime):
+            splitting_in_real_subfield(h, ell)
 
 
 def test_double_root_examples():
