@@ -42,17 +42,14 @@ from .weil import (
     FieldParam,
     OutOfWeilBounds,
     PRank,
-    RealWeilPolynomial,
     ValidationError,
     WeilElliptic,
     WeilSurface,
     base_change,
     classify_p_rank,
-    eval_real,
     field_param,
     fundamental_discriminant,
     is_geometrically_simple,
     make_elliptic,
     make_surface,
-    real_weil,
 )

@@ -251,7 +251,7 @@ def cmd_obstruct(args) -> int:
         n = args.n if args.n is not None else 1
         status = gluing.hl_obstruction(A, args.s, n)
         mode = "hl"
-        h_val = weil.eval_real(weil.real_weil(A), 2 * args.s)
+        h_val = A.h(2 * args.s)
     obstructed = status is gluing.Obstruction.OBSTRUCTED
     rec = _record(
         "obstruct",

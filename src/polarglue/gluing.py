@@ -16,22 +16,20 @@ from .arith import factor_integer, is_probable_prime, is_squarefree, kronecker_s
 from .localalg import (
     CharacteristicPrime,
     DoubleRoot,
+    NotPrime,
     SplittingType,
     double_root_condition,
     is_exceptional,
 )
 from .weil import (
     PRank,
-    RealWeilPolynomial,
     ValidationError,
     WeilElliptic,
     WeilSurface,
     classify_p_rank,
-    eval_real,
     fundamental_discriminant_of,
     is_geometrically_simple,
     is_irreducible,
-    real_weil,
 )
 
 
@@ -90,7 +88,7 @@ def gluing_exponent(A: WeilSurface, B: WeilElliptic) -> GluingExponentReport:
         raise InseparableInput("elliptic trace satisfies b^2 = 4q")
     if not is_irreducible(A):
         raise InseparableInput("surface Weil polynomial is reducible over Q")
-    hb = eval_real(real_weil(A), B.b)
+    hb = A.h(B.b)
     if hb == 0:
         raise InseparableInput("h(b) = 0: the inputs share a Weil number")
     p = A.field.p
@@ -109,12 +107,7 @@ def gluing_exponent(A: WeilSurface, B: WeilElliptic) -> GluingExponentReport:
 
 
 def _check_separable_surface(A: WeilSurface, s: int):
-    h = real_weil(A)
-    if (
-        A.real_discriminant() == 0
-        or eval_real(h, 2 * s) == 0
-        or eval_real(h, -2 * s) == 0
-    ):
+    if A.real_discriminant() == 0 or A.h(2 * s) == 0 or A.h(-2 * s) == 0:
         raise InseparableInput("surface Weil polynomial has a repeated root")
 
 
@@ -122,11 +115,13 @@ def ss_quadratic_gluing_valuation(A: WeilSurface, s: int, ell: int) -> int:
     """Largest n with ell^(2n) | f(s) and ell^n | f'(s), for square q = s^2.
 
     This is the ell-adic gluing depth against the supersingular curve with
-    Weil polynomial (t - s)^2.
+    Weil polynomial (t - s)^2.  ell must be a prime other than p.
     """
     q = A.q
     if s * s != q:
         raise NotASquare(f"s^2 = {s * s} differs from q = {q}")
+    if not is_probable_prime(ell):
+        raise NotPrime(f"ell = {ell} is not prime")
     if ell == A.field.p:
         raise CharacteristicPrime(f"ell = {ell} is the characteristic")
     _check_separable_surface(A, s)
@@ -153,7 +148,7 @@ def hl_obstruction(A: WeilSurface, s: int, n: int) -> Obstruction:
         raise NotASquare(f"q = {A.q} is not the square of s = {s}")
     if classify_p_rank(A) is not PRank.ORDINARY:
         raise NotOrdinary("the surface must be ordinary")
-    h2s = eval_real(real_weil(A), 2 * s)
+    h2s = A.h(2 * s)
     if is_squarefree(h2s):
         return Obstruction.OBSTRUCTED
     return Obstruction.NO_CONCLUSION
@@ -180,9 +175,12 @@ class LambdaDivisibility:
 
 
 def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
-    """Lambda_ell divisibility data for h(2s) = (a2 + 2q) + 2*a1*sqrt(q)."""
+    """Lambda_ell divisibility data for h(2s) = (a2 + 2q) + 2*a1*sqrt(q), at
+    an odd prime ell != p, where t^2 - q is split or inert."""
     if A.field.is_square:
         raise SquareField("q must not be a square")
+    if not is_probable_prime(ell):
+        raise NotPrime(f"ell = {ell} is not prime")
     if ell == 2:
         raise SmallPrime("ell = 2 ramifies in Z[t]/(t^2 - q)")
     if ell == A.field.p:
@@ -191,8 +189,7 @@ def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
     u = A.a2 + 2 * q
     v = 2 * A.a1
     ell2 = ell * ell
-    symbol = kronecker_symbol(q, ell)
-    if symbol == 1:
+    if kronecker_symbol(q, ell) == 1:
         norm = u * u - q * v * v
         divides = norm % ell == 0
         return LambdaDivisibility(
@@ -200,14 +197,12 @@ def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
             divides_square=divides and norm % (ell2 * ell if v % ell == 0 else ell2) == 0,
             splitting=SplittingType.SPLIT,
         )
-    if symbol == -1:
-        return LambdaDivisibility(
-            ell=ell, u=u, v=v,
-            divides=u % ell == 0 and v % ell == 0,
-            divides_square=u % ell2 == 0 and v % ell2 == 0,
-            splitting=SplittingType.INERT,
-        )
-    raise ArithmeticError(f"t^2 - q ramifies at {ell} although ell != p")
+    return LambdaDivisibility(
+        ell=ell, u=u, v=v,
+        divides=u % ell == 0 and v % ell == 0,
+        divides_square=u % ell2 == 0 and v % ell2 == 0,
+        splitting=SplittingType.INERT,
+    )
 
 
 def hl2_obstruction(A: WeilSurface, strict: bool = False) -> Obstruction:
@@ -362,13 +357,13 @@ class EllipticInvariants:
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
-    """What the verdict needs from the surface: its p-rank, its real
-    companion h and its exceptional primes ell != p, among those with
-    ell^2 | disc(h); none when disc(h) is 0 or a square (h reducible)."""
+    """What the verdict needs from the surface: its p-rank and its
+    exceptional primes ell != p, among those with ell^2 | disc(h); none
+    when disc(h) is 0 or a square (h reducible).  h(b) comes from the
+    surface itself."""
 
     surface: WeilSurface
     p_rank: PRank
-    h: RealWeilPolynomial
     exceptional: frozenset[int]
 
     @classmethod
@@ -378,7 +373,7 @@ class SurfaceInvariants:
             ell for ell, e in factor_integer(disc).factors
             if e >= 2 and ell != A.field.p and is_exceptional(A, ell)[0]
         )
-        return cls(A, classify_p_rank(A), real_weil(A), exceptional)
+        return cls(A, classify_p_rank(A), exceptional)
 
 
 def decide_from_invariants(
@@ -448,7 +443,7 @@ def evaluate_pair(
     primes_of, or factored and stored there), the verdict of
     decide_from_invariants and the primes of h(b) in A.exceptional."""
     E = B.elliptic
-    h_b = eval_real(A.h, E.b)
+    h_b = A.surface.h(E.b)
     if h_b == 0:
         raise InseparableInput("h(b) = 0: the inputs share a Weil number")
     primes = primes_of.get(h_b)

@@ -17,13 +17,7 @@ from typing import Sequence
 
 from . import polys
 from .arith import is_probable_prime, kronecker_symbol
-from .weil import (
-    RealWeilPolynomial,
-    ValidationError,
-    WeilElliptic,
-    WeilSurface,
-    real_weil,
-)
+from .weil import ValidationError, WeilElliptic, WeilSurface
 
 
 class CharacteristicPrime(ValidationError):
@@ -188,19 +182,16 @@ class SplittingType(Enum):
     RAMIFIED = "ramified"
 
 
-def splitting_in_real_subfield(h: RealWeilPolynomial, ell: int) -> SplittingType:
-    """Splitting of ell in the maximal order of K+ = Q[t]/h (h quadratic).
+def splitting_in_real_subfield(disc: int, ell: int) -> SplittingType:
+    """Splitting of ell in the maximal order of K+ = Q[t]/h, disc = disc(h).
 
     This is the splitting in the ring of integers; the order Z[t]/h itself
-    may be smaller at ell.  Write disc(h) = ell^v * m with ell not dividing
+    may be smaller at ell.  Write disc = ell^v * m with ell not dividing
     m: ell ramifies when v is odd, or when ell = 2 and m = 3 mod 4;
     otherwise (m | ell) = 1 means split and -1 inert.  Nothing is factored.
     """
-    if h.degree != 2:
-        raise ValueError("h must be quadratic")
     if ell < 2:
         raise NotPrime(f"ell = {ell} is not prime")
-    disc = h.discriminant()
     if disc >= 0 and isqrt(disc) ** 2 == disc:
         raise ReducibleField(f"disc(h) = {disc} is a perfect square")
     v, m = 0, disc
@@ -217,8 +208,8 @@ def is_exceptional(f: WeilSurface, ell: int) -> tuple[bool, Factor | None]:
     mod ell^2 while ell stays inert in the real subfield.
 
     Returns the square root t^2 - s t + q (coefficients mod ell^2) as witness.
-    A surface whose real companion is reducible over Q has no quadratic real
-    subfield and is never exceptional.
+    A surface whose real companion h is reducible over Q (disc(h) a square)
+    has no quadratic real subfield and is never exceptional.
     """
     if ell == f.field.p:
         raise CharacteristicPrime(f"ell = {ell} is the characteristic")
@@ -227,7 +218,7 @@ def is_exceptional(f: WeilSurface, ell: int) -> tuple[bool, Factor | None]:
         return (False, None)
     if isqrt(disc) ** 2 == disc:
         return (False, None)
-    if splitting_in_real_subfield(real_weil(f), ell) is not SplittingType.INERT:
+    if splitting_in_real_subfield(disc, ell) is not SplittingType.INERT:
         return (False, None)
     q = f.q
     ell2 = ell * ell
@@ -322,7 +313,7 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
         raise CharacteristicPrime(f"ell = {ell} is the characteristic")
     q = f.q
     pattern = factor_mod_prime(f.coefficients(), ell)
-    h_pattern = factor_mod_prime(list(real_weil(f).coefficients), ell)
+    h_pattern = factor_mod_prime(f.real_coefficients(), ell)
     maximality = _dedekind_defect(f.coefficients(), pattern)
     witness = is_exceptional(f, ell)[1]
     witness_mod_ell = tuple(c % ell for c in witness) if witness else None

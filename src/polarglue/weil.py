@@ -14,7 +14,6 @@ from enum import Enum
 from math import isqrt
 from typing import Iterator
 
-from . import polys
 from .arith import PrimeFactorization, factor_integer, is_probable_prime
 
 
@@ -79,7 +78,9 @@ class PRank(Enum):
 
 @dataclass(frozen=True)
 class WeilSurface:
-    """Validated quartic Weil polynomial t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2."""
+    """Validated quartic Weil polynomial t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2,
+    with its real companion h(t) = t^2 + a1 t + (a2 - 2q), whose roots are
+    pi + q/pi over the Weil numbers pi."""
 
     field: FieldParam
     a1: int
@@ -93,8 +94,16 @@ class WeilSurface:
         q = self.q
         return [q * q, q * self.a1, self.a2, self.a1, 1]
 
+    def h(self, x: int) -> int:
+        """The real companion h at x."""
+        return x * x + self.a1 * x + self.a2 - 2 * self.q
+
+    def real_coefficients(self) -> list[int]:
+        """Coefficients of h by increasing power."""
+        return [self.a2 - 2 * self.q, self.a1, 1]
+
     def real_discriminant(self) -> int:
-        """Discriminant a1^2 - 4*a2 + 8*q of the real companion polynomial."""
+        """Discriminant a1^2 - 4*a2 + 8*q of h."""
         return self.a1 * self.a1 - 4 * self.a2 + 8 * self.q
 
 
@@ -115,27 +124,6 @@ class WeilElliptic:
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.q
-
-
-@dataclass(frozen=True)
-class RealWeilPolynomial:
-    """Monic h(t) whose roots are x + q/x over the Weil numbers x.
-
-    coefficients are listed by increasing power; degree is 1 or 2 here.
-    """
-
-    coefficients: tuple[int, ...]
-    field: FieldParam
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def discriminant(self) -> int:
-        if self.degree != 2:
-            raise ValueError("discriminant defined for quadratic h only")
-        c0, c1, _ = self.coefficients
-        return c1 * c1 - 4 * c0
 
 
 def sqrt_ge_zero(u: int, v: int, q: int) -> bool:
@@ -174,21 +162,6 @@ def make_elliptic(field: FieldParam, b: int) -> WeilElliptic:
     if b * b > 4 * q:
         raise OutOfWeilBounds([f"b^2 = {b * b} exceeds 4q = {4 * q}"])
     return WeilElliptic(field=field, b=b, irreducible=b * b < 4 * q)
-
-
-def real_weil(f: WeilSurface | WeilElliptic) -> RealWeilPolynomial:
-    """Degree-halved totally real companion of a Weil polynomial."""
-    if isinstance(f, WeilSurface):
-        return RealWeilPolynomial(
-            coefficients=(f.a2 - 2 * f.q, f.a1, 1), field=f.field
-        )
-    if isinstance(f, WeilElliptic):
-        return RealWeilPolynomial(coefficients=(-f.b, 1), field=f.field)
-    raise TypeError(f"expected WeilSurface or WeilElliptic, got {type(f).__name__}")
-
-
-def eval_real(h: RealWeilPolynomial, r: int) -> int:
-    return polys.evaluate(list(h.coefficients), r)
 
 
 def _lucas(

@@ -51,7 +51,7 @@ def test_criterion_1_division_identity():
         f = _random_surface(rng)
         r = rng.randint(-60, 60)
         q = f.q
-        h_r = pg.eval_real(pg.real_weil(f), r)
+        h_r = f.h(r)
         _, rem = oracle.divmod_monic(
             polys.sub(f.coefficients(), [0, 0, h_r]), [q, -r, 1])
         assert rem == [], (f, r)
@@ -72,10 +72,9 @@ def test_criterion_2_gluing_exponent_oracle_equivalence():
         surfaces = pg.enumerate_surfaces(field, ordinary=True, geometrically_simple=True)
         elliptics = pg.enumerate_elliptics(field, irreducible=True)
         for A in surfaces:
-            h = pg.real_weil(A)
             f_a = A.coefficients()
             for B in elliptics:
-                hb = abs(pg.eval_real(h, B.b))
+                hb = abs(A.h(B.b))
                 for ell in primes:
                     if ell == field.p:
                         continue
@@ -114,11 +113,10 @@ def test_criterion_3_exceptional_prime_consistency():
                     continue
                 detections.append((q, A.a1, A.a2, ell))
                 assert disc % (ell * ell) == 0
-                h = pg.real_weil(A)
-                assert splitting_in_real_subfield(h, ell) is SplittingType.INERT
-                assert not dedekind_is_maximal(list(h.coefficients), ell)
+                assert splitting_in_real_subfield(disc, ell) is SplittingType.INERT
+                assert not dedekind_is_maximal(A.real_coefficients(), ell)
                 for B in elliptics:
-                    hb = pg.eval_real(h, B.b)
+                    hb = A.h(B.b)
                     if hb % ell != 0:
                         continue
                     assert hb % (ell * ell) == 0, (q, A, ell, B.b)
@@ -161,7 +159,7 @@ def test_criterion_5_hl_valuation_coherence():
         field = pg.field_param(q)
         s = field.sqrt_q
         for A in pg.enumerate_surfaces(field, ordinary=True):
-            h2s = pg.eval_real(pg.real_weil(A), 2 * s)
+            h2s = A.h(2 * s)
             if not oracle.trial_is_squarefree(h2s):
                 continue
             assert pg.hl_obstruction(A, s, 1) is Obstruction.OBSTRUCTED

@@ -7,6 +7,7 @@ residues of ell."""
 import ast
 from pathlib import Path
 
+import polarglue
 from polarglue import cli, weil
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,6 +68,18 @@ def test_each_primitive_is_defined_once():
     for name in ("power_sums", "_elementary_from_power_sums"):
         assert defined.get(name) == ["oracle.py"], (name, defined.get(name))
     assert "_base_change_coeffs" not in defined
+
+
+def test_real_companion_lives_on_the_surface():
+    """h is WeilSurface.h / real_coefficients / real_discriminant; no module
+    defines a separate wrapper for it."""
+    wrapper = {"RealWeilPolynomial", "real_weil", "eval_real"}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in wrapper, (path.name, node.name)
+    assert not wrapper & set(vars(polarglue))
+    assert {"h", "real_coefficients", "real_discriminant"} <= set(vars(weil.WeilSurface))
 
 
 def test_oracle_takes_no_base_change_from_weil():

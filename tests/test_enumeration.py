@@ -66,7 +66,7 @@ def test_scan_shape_and_totality():
     assert len(rows) == n_surfaces * n_elliptics
     for row in rows:
         assert row.verdict is not None
-        assert row.h_b == pg.eval_real(pg.real_weil(row.surface), row.elliptic.b)
+        assert row.h_b == row.surface.h(row.elliptic.b)
         if row.verdict.kind is pg.VerdictKind.INCONCLUSIVE:
             assert row.verdict.failures
     keys = [(r.surface.a1, r.surface.a2, r.elliptic.b) for r in rows]

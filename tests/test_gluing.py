@@ -1,4 +1,5 @@
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from polarglue.gluing import (
     hl_obstruction,
     ss_quadratic_gluing_valuation,
 )
-from polarglue.localalg import SplittingType, is_exceptional
+from polarglue.localalg import NotPrime, SplittingType, is_exceptional
 
 from conftest import surfaces
 
@@ -76,6 +77,28 @@ def test_divides_in_lambda_examples():
     assert lam3.divides is False
     with pytest.raises(SquareField):
         divides_in_lambda(pg.make_surface(F4, 1, 1), 3)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("no answer within 5 s")
+
+
+def test_local_helpers_reject_non_prime_ell():
+    """Both helpers refuse a non-prime ell at once; under a 5 s alarm, so a
+    loop that never ends (ell = 1 once did) fails instead of hanging."""
+    A = pg.make_surface(F4, 1, -3)
+    A27 = pg.make_surface(pg.field_param(27), 1, 1)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        for ell in (0, 1, 9, 15):
+            with pytest.raises(NotPrime):
+                ss_quadratic_gluing_valuation(A, 2, ell)
+            with pytest.raises(NotPrime):
+                divides_in_lambda(A27, ell)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_divides_in_lambda_matches_root_search():
@@ -200,7 +223,7 @@ def test_decide_converse_and_witness_divides(f, data):
         v = decide(f, B)
     except NotGeometricallySimple:
         return
-    hb = pg.eval_real(pg.real_weil(f), b)
+    hb = f.h(b)
     if v.kind is VerdictKind.IRREDUCIBLE_PP_EXISTS:
         assert abs(hb) not in (0, 1)
         assert hb % v.witness_ell == 0
@@ -242,7 +265,7 @@ def test_hl_consistency_with_valuation():
         field = pg.field_param(q)
         s = field.sqrt_q
         for A in pg.enumerate_surfaces(field, ordinary=True):
-            h2s = pg.eval_real(pg.real_weil(A), 2 * s)
+            h2s = A.h(2 * s)
             if not oracle.trial_is_squarefree(h2s):
                 continue
             assert hl_obstruction(A, s, 1) is Obstruction.OBSTRUCTED
@@ -265,7 +288,7 @@ def test_rows_are_decided_by_lookups_only(monkeypatch):
     elliptics = [gluing.EllipticInvariants.of(B)
                  for B in pg.enumerate_elliptics(field, irreducible=True)]
     assert [f.name for f in fields(gluing.SurfaceInvariants)] == [
-        "surface", "p_rank", "h", "exceptional"]
+        "surface", "p_rank", "exceptional"]
     assert all(type(S.exceptional) is frozenset for S in surfaces)
 
     def forbidden(*args):

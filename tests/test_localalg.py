@@ -68,7 +68,7 @@ def test_factor_mod_prime_matches_trial_search_exhaustively():
     for q in (2, 3, 4, 5):
         field = pg.field_param(q)
         for A in pg.enumerate_surfaces(field):
-            for g in (A.coefficients(), list(pg.real_weil(A).coefficients)):
+            for g in (A.coefficients(), A.real_coefficients()):
                 for ell in ells:
                     if ell != field.p:
                         cases.setdefault((tuple(c % ell for c in g), ell), g)
@@ -183,13 +183,13 @@ def test_dedekind_matches_discriminant_oracle(c, d, ell):
 
 
 def test_splitting_examples():
-    h18 = pg.RealWeilPolynomial((-18, 0, 1), F2)
-    h13 = pg.RealWeilPolynomial((-3, 1, 1), F2)
-    assert splitting_in_real_subfield(h18, 3) is SplittingType.INERT
-    assert splitting_in_real_subfield(h13, 3) is SplittingType.SPLIT
-    assert splitting_in_real_subfield(h18, 2) is SplittingType.RAMIFIED
+    d18 = 72  # disc(t^2 - 18)
+    d13 = 13  # disc(t^2 + t - 3)
+    assert splitting_in_real_subfield(d18, 3) is SplittingType.INERT
+    assert splitting_in_real_subfield(d13, 3) is SplittingType.SPLIT
+    assert splitting_in_real_subfield(d18, 2) is SplittingType.RAMIFIED
     with pytest.raises(ReducibleField):
-        splitting_in_real_subfield(pg.RealWeilPolynomial((0, 0, 1), F2), 3)
+        splitting_in_real_subfield(0, 3)  # disc(t^2)
 
 
 def test_splitting_matches_fundamental_discriminant_exhaustively():
@@ -202,24 +202,21 @@ def test_splitting_matches_fundamental_discriminant_exhaustively():
     for d in range(-20000, 20001):
         if d % 4 not in (0, 1) or (d >= 0 and math.isqrt(d) ** 2 == d):
             continue
-        c1 = d % 2
-        h = pg.RealWeilPolynomial(((c1 - d) // 4, c1, 1), F2)
         d0 = oracle.trial_squarefree_part(d)
         fundamental = d0 if d0 % 4 == 1 else 4 * d0
         for ell in (2, 3, 5, 7, 11, 13):
             symbol = oracle.kronecker_at_prime(fundamental, ell)
             want = {1: SplittingType.SPLIT, -1: SplittingType.INERT,
                     0: SplittingType.RAMIFIED}[symbol]
-            assert splitting_in_real_subfield(h, ell) is want, (d, ell)
+            assert splitting_in_real_subfield(d, ell) is want, (d, ell)
             cases += 1
     assert cases > 100_000
 
 
 def test_splitting_rejects_non_prime_ell():
-    h = pg.RealWeilPolynomial((-18, 0, 1), F2)
     for ell in (1, 0, -3):
         with pytest.raises(NotPrime):
-            splitting_in_real_subfield(h, ell)
+            splitting_in_real_subfield(72, ell)
 
 
 def test_double_root_examples():
@@ -275,7 +272,7 @@ def test_exceptional_implies_square_discriminant_divisor(f, ell):
     if not flag:
         return
     assert f.real_discriminant() % (ell * ell) == 0
-    assert splitting_in_real_subfield(pg.real_weil(f), ell) is SplittingType.INERT
+    assert splitting_in_real_subfield(f.real_discriminant(), ell) is SplittingType.INERT
     # the witness really is a square root of f mod ell^2 with constant q
     assert witness[0] == f.q % (ell * ell)
     square = polys.mul_mod(list(witness), list(witness), ell * ell)

@@ -1,0 +1,60 @@
+"""Each script under scripts/ runs at a small size, exits 0 and prints the
+total it is meant to print, so a change to the library API cannot break a
+script unnoticed."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("POLARGLUE_CONFIG", None)
+    res = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
+def test_scan_field():
+    lines = run_script("scan_field.py", "--q", "8")
+    assert lines[0] == (
+        "F_8: 140 geometrically simple surfaces, "
+        "1540 pairs with irreducible elliptic curves")
+    kinds = {}
+    for line in lines[1:lines.index("existence branches:")]:
+        kind, n = line.split()
+        kinds[kind] = int(n)
+    assert set(kinds) == {"irreducible_pp_exists", "no_irreducible_pp", "inconclusive"}
+    assert sum(kinds.values()) == 1540
+
+
+def test_exceptional_census():
+    lines = run_script("exceptional_census.py", "--max-q", "13")
+    assert lines[-1] == "28 exceptional (surface, ell) pairs found"
+
+
+@pytest.mark.parametrize("script", ["check_decide.py", "check_geom_simple.py"])
+def test_oracle_checks_find_no_mismatch(script):
+    lines = run_script(script, "--max-q", "9")
+    assert lines[-1].startswith("total :")
+    counts = re.findall(r"(\d+) [a-z-]*\s?mismatches", lines[-1])
+    assert counts and set(counts) == {"0"}, lines[-1]
+
+
+def test_scan_digests():
+    lines = run_script("scan_digests.py", "--max-q", "4")
+    rows = [line.split() for line in lines]
+    assert [(q, fmt) for q, fmt, _, _ in rows] == [
+        (q, fmt) for q in ("2", "3", "4") for fmt in ("csv", "json")]
+    assert [n for _, _, n, _ in rows] == ["40", "40", "126", "126", "238", "238"]
+    assert all(len(sha) == 64 for *_, sha in rows)

@@ -81,18 +81,16 @@ def test_make_elliptic_examples():
 
 
 def test_real_weil_examples():
-    assert pg.real_weil(pg.make_surface(F2, 1, 1)).coefficients == (-3, 1, 1)
-    assert pg.real_weil(pg.make_surface(F3, 0, 0)).coefficients == (-6, 0, 1)
-    assert pg.real_weil(pg.make_surface(F11, -2, 5)).coefficients == (-17, -2, 1)
-    assert pg.real_weil(pg.make_elliptic(F2, 1)).coefficients == (-1, 1)
+    assert pg.make_surface(F2, 1, 1).real_coefficients() == [-3, 1, 1]
+    assert pg.make_surface(F3, 0, 0).real_coefficients() == [-6, 0, 1]
+    assert pg.make_surface(F11, -2, 5).real_coefficients() == [-17, -2, 1]
 
 
 def test_eval_real_examples():
-    h = pg.real_weil(pg.make_surface(F2, 1, 1))
-    assert pg.eval_real(h, 1) == -1
-    assert pg.eval_real(h, 0) == -3
-    h11 = pg.real_weil(pg.make_surface(F11, -2, 5))
-    assert pg.eval_real(h11, 4) == -9
+    A = pg.make_surface(F2, 1, 1)
+    assert A.h(1) == -1
+    assert A.h(0) == -3
+    assert pg.make_surface(F11, -2, 5).h(4) == -9
 
 
 def test_base_change_examples():
@@ -118,7 +116,7 @@ def test_real_companion_division_identity(f, r):
     """f(t) - t^2 h(r) is divisible by t^2 - r t + q, with the remainder of
     f alone being h(r)(r t - q)."""
     q = f.q
-    h_r = pg.eval_real(pg.real_weil(f), r)
+    h_r = f.h(r)
     _, rem = oracle.divmod_monic(polys.sub(f.coefficients(), [0, 0, h_r]), [q, -r, 1])
     assert rem == []
     _, rem2 = oracle.divmod_monic(f.coefficients(), [q, -r, 1])
@@ -129,7 +127,7 @@ def test_real_companion_division_identity(f, r):
 @settings(max_examples=100)
 def test_specialization_at_sqrt_q(f):
     s = f.field.sqrt_q
-    assert polys.evaluate(f.coefficients(), s) == f.q * pg.eval_real(pg.real_weil(f), 2 * s)
+    assert polys.evaluate(f.coefficients(), s) == f.q * f.h(2 * s)
 
 
 @given(surfaces() | elliptics())
@@ -146,8 +144,7 @@ def test_functional_equation(f):
 @given(surfaces())
 @settings(max_examples=100)
 def test_real_weil_round_trip(f):
-    h = pg.real_weil(f)
-    c0, c1, _ = h.coefficients
+    c0, c1, _ = f.real_coefficients()
     assert (c1, c0 + 2 * f.q) == (f.a1, f.a2)
     assert pg.make_surface(f.field, c1, c0 + 2 * f.q) == f
 
@@ -169,7 +166,7 @@ def test_classify_p_rank_examples():
 @settings(max_examples=150)
 def test_ordinary_real_constant_term_is_p_unit(f):
     if pg.classify_p_rank(f) is pg.PRank.ORDINARY:
-        assert math.gcd(pg.eval_real(pg.real_weil(f), 0), f.field.p) == 1
+        assert math.gcd(f.h(0), f.field.p) == 1
 
 
 @given(surfaces(), st.data())
@@ -182,7 +179,7 @@ def test_ordinary_times_supersingular_avoids_p(f, data):
     b = data.draw(st.integers(min_value=-bound, max_value=bound).map(lambda k: k - k % p))
     if b * b > 4 * f.q:
         return
-    assert pg.eval_real(pg.real_weil(f), b) % p != 0
+    assert f.h(b) % p != 0
 
 
 def test_fundamental_discriminant_examples():
