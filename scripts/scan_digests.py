@@ -9,7 +9,8 @@ Each scan runs as `python -m polarglue scan --q Q --format F` against the
 `src/` directory of the checkout this script lives in, so running the
 script in two checkouts and diffing the outputs compares their scan bytes.
 Rows are the csv lines after the header, or the top-level records of the
-json array.  Exits 1 if any scan exits non-zero.
+json array.  Exits 1 if any scan exits non-zero, or quietly with 1 if
+the reader closes stdout early.
 """
 
 import argparse
@@ -64,4 +65,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): exit 1 without a traceback;
+        # stdout goes to devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -2,9 +2,13 @@
 """Scan one finite field and summarize the verdict landscape.
 
 Usage: python scripts/scan_field.py --q 8 [--show-inconclusive]
+
+Exits 1 without a traceback if the reader closes stdout early.
 """
 
 import argparse
+import os
+import sys
 from collections import Counter
 
 import polarglue as pg
@@ -48,4 +52,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): exit 1 without a traceback;
+        # stdout goes to devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

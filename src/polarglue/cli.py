@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from itertools import islice
 
 from . import __version__, enumeration, gluing, localalg, weil
 
@@ -101,12 +100,16 @@ def _row_flags(row: gluing.ScanRow) -> dict:
     }
 
 
+def _row_query(row: gluing.ScanRow) -> dict:
+    A = row.surface
+    return {"q": A.q, "a1": A.a1, "a2": A.a2, "b": row.elliptic.b}
+
+
 def _row_record(command: str, row: gluing.ScanRow, deterministic: bool) -> dict:
     """The v1 record of one decided pair, for `check` and for `scan-row`."""
-    A = row.surface
     return _record(
         command,
-        {"q": A.q, "a1": A.a1, "a2": A.a2, "b": row.elliptic.b},
+        _row_query(row),
         deterministic=deterministic,
         h_b=row.h_b,
         flags=_row_flags(row),
@@ -156,22 +159,72 @@ def _write_csv(rows, out) -> None:
         )
 
 
-_JSON_BATCH = 200
+def _dump_at(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) as it reads when obj is
+    a value nested depth levels deep in a larger indented dump."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _row_template(row: gluing.ScanRow) -> str:
+    """The scan-row record of row as an array element (depth 1), with each
+    per-row value a str.format field named after its key.
+
+    The text is _row_record's own dump with those values replaced by
+    marker strings, so the record layout has no second copy here.  The
+    markers hold NUL, which json escapes as \\u0000 and no constant of the
+    record contains."""
+    rec = _row_record("scan-row", row, deterministic=True)
+    rec["query"] = {key: f"\0{key}\0" for key in rec["query"]}
+    rec.update({key: f"\0{key}\0" for key in ("h_b", "flags", "verdict")})
+    text = _dump_at(rec, 1).replace("{", "{{").replace("}", "}}")
+    for key in (*rec["query"], "h_b", "flags", "verdict"):
+        text = text.replace(json.dumps(f"\0{key}\0"), "{" + key + "}")
+    return text
 
 
 def _write_json(rows, out) -> None:
     """Write the bytes of json.dumps(records, indent=2, sort_keys=True) + "\n"
-    _JSON_BATCH records at a time.  A batch dumped as a list reads
-    "[" + stretch + "\n]", where the stretch is the batch's part of the whole
-    array's text; stretches are joined by ",".  One write per record instead
-    ran about 15% slower through a pipe (q = 27, 2 CPUs)."""
+    for the scan-row records of rows, one record at a time.
+
+    With an indent, CPython's json encodes in pure Python, which cost
+    more than deciding the rows.  Each record is instead filled into one
+    str.format template (_row_template): integers go in as they are,
+    and the flags and verdict objects are dumped on their own (_dump_at)
+    and kept, the flags per key as in _write_csv, a conclusive verdict
+    per shared object (kept alive beside its text, so its id cannot be
+    reused).  An inconclusive verdict is built per row and dumped per
+    row."""
     rows = iter(rows)
-    sep = "["
-    while batch := list(islice(rows, _JSON_BATCH)):
-        records = [_row_record("scan-row", row, deterministic=True) for row in batch]
-        out.write(sep + json.dumps(records, indent=2, sort_keys=True)[1:-2])
-        sep = ","
-    out.write("[]\n" if sep == "[" else "\n]\n")
+    first = next(rows, None)
+    if first is None:
+        out.write("[]\n")
+        return
+    template = _row_template(first)
+    flags_of: dict[tuple, str] = {}
+    verdict_of: dict[int, tuple[gluing.GluingVerdict, str]] = {}
+    inconclusive = gluing.VerdictKind.INCONCLUSIVE
+
+    def fill(row) -> str:
+        key = (row.surface_p_rank, row.elliptic_p_rank,
+               row.geometrically_simple, row.exceptional_primes)
+        flags = flags_of.get(key)
+        if flags is None:
+            flags = flags_of[key] = _dump_at(_row_flags(row), 2)
+        v = row.verdict
+        if v.kind is inconclusive:
+            verdict = _dump_at(_verdict_payload(v), 2)
+        else:
+            kept = verdict_of.get(id(v))
+            if kept is None:
+                kept = verdict_of[id(v)] = (v, _dump_at(_verdict_payload(v), 2))
+            verdict = kept[1]
+        return template.format(h_b=row.h_b, flags=flags, verdict=verdict,
+                               **_row_query(row))
+
+    out.write("[\n  " + fill(first))
+    for row in rows:
+        out.write(",\n  " + fill(row))
+    out.write("\n]\n")
 
 
 def cmd_scan(args) -> int:

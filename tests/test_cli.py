@@ -184,6 +184,8 @@ SCAN_DIGESTS = {
     (8, "json"): "a2cf80502c3511e1f8a3dabafa8a54d0cda6613df90945c5f5d79d9d20a5f83a",
     (9, "csv"): "5a07b9ec75d91fdb4de60d8484aa13a43f485315f9c44b8059d660295f8522d1",
     (9, "json"): "67ebf9d26d61ed2e5695bbc34c131b3b290ad10f472878ec817b8d4d8607b3c6",
+    (25, "json"): "00144356d2c2ac1e7d46bdd7382812dd5f8a0f5f9f5385363b9b850b4ad449ad",
+    (27, "json"): "0159358c9ccad5e8b17efddcf8d966d5a5f075174322b1611240f7668e33cdc5",
 }
 
 
@@ -195,17 +197,38 @@ def test_scan_bytes_match_recorded_digests():
 
 
 def test_json_writer_matches_one_dump():
+    """The template writer writes the bytes of one indented dump of all
+    records, for engine rows and for hand-built rows whose verdict text
+    needs escaping, whose flags differ, or whose conclusive verdicts are
+    equal but distinct objects."""
     import io
+    from dataclasses import replace
 
     import polarglue as pg
-    from polarglue import cli
+    from polarglue import cli, gluing
 
-    rows = list(pg.scan_pairs(pg.field_param(7)))
-    batch = cli._JSON_BATCH
-    for n in (0, 1, 2, batch, batch + 1, len(rows)):
+    rows = [r for q in (7, 9) for r in pg.scan_pairs(pg.field_param(q))]
+    base = rows[0]
+    exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
+                  branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
+    hand_built = [
+        replace(base, verdict=gluing._HB_UNIT),
+        replace(base, verdict=gluing.GluingVerdict(
+            kind=gluing.VerdictKind.INCONCLUSIVE,
+            failures=(gluing.PrimeFailure(
+                ell=3, reasons=('a "quoted" \\ {brace} }{', "line\nbreak, ell \u2113")),
+                gluing.PrimeFailure(ell=7, reasons=())))),
+        replace(base, geometrically_simple=False),
+        replace(base, exceptional_primes=(3, 5)),
+        replace(base, verdict=gluing.GluingVerdict(**exists)),
+        replace(base, verdict=gluing.GluingVerdict(**exists)),
+    ]
+    assert hand_built[-1].verdict is not hand_built[-2].verdict
+    cases = [rows[:0], rows[:1], rows[:2], rows, hand_built, hand_built[::-1] + rows[:3]]
+    for case in cases:
         buf = io.StringIO()
-        cli._write_json(rows[:n], buf)
-        records = [cli._row_record("scan-row", r, deterministic=True) for r in rows[:n]]
+        cli._write_json(case, buf)
+        records = [cli._row_record("scan-row", r, deterministic=True) for r in case]
         assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
@@ -247,7 +270,7 @@ def test_csv_writer_matches_csv_module():
 
 def test_scan_streams_rows():
     """Peak RSS of a q = 27 json scan (24,066 rows, about 190 MB when the
-    whole output was built before writing) stays near 18 MB."""
+    whole output was built before writing) is about 16.6 MB."""
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
     res = subprocess.run(

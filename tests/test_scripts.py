@@ -13,13 +13,17 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("POLARGLUE_CONFIG", None)
+    return env
+
+
+def run_script(name, *args):
     res = subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=script_env(), timeout=120,
     )
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()
@@ -58,3 +62,23 @@ def test_scan_digests():
         (q, fmt) for q in ("2", "3", "4") for fmt in ("csv", "json")]
     assert [n for _, _, n, _ in rows] == ["40", "40", "126", "126", "238", "238"]
     assert all(len(sha) == 64 for *_, sha in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ("scan_digests.py", "--max-q", "4"),
+    # about 210 kB, more than the pipe and stdout buffers hold
+    ("scan_field.py", "--q", "25", "--show-inconclusive"),
+])
+def test_closed_stdout_exits_without_traceback(args):
+    """A reader that stops after one line, as `| head -1` does: the script
+    exits 1 and prints no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, str(REPO / "scripts" / args[0]), *args[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=script_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in stderr, stderr.decode()
