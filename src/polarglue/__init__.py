@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .enumeration import enumerate_elliptics, enumerate_surfaces, scan_pairs, trace_occurs
 from .gluing import (
     Branch,
-    GluingExponentReport,
     GluingVerdict,
     LambdaDivisibility,
     NoPPReason,
@@ -19,8 +18,6 @@ from .gluing import (
     decide,
     decide_pair,
     divides_in_lambda,
-    find_twisting_prime,
-    gluing_exponent,
     hl2_obstruction,
     hl_obstruction,
     ss_quadratic_gluing_valuation,

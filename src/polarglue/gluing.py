@@ -1,7 +1,7 @@
-"""The verdict engine: gluing exponents, obstruction tests for
-ordinary x supersingular products, the twisting-prime search, and the
-three-way decision on whether the isogeny class of (surface x elliptic)
-contains an abelian threefold with an irreducible principal polarization.
+"""The verdict engine: obstruction tests for ordinary x supersingular
+products, and the three-way decision on whether the isogeny class of
+(surface x elliptic) contains an abelian threefold with an irreducible
+principal polarization.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .weil import (
     classify_p_rank,
     fundamental_discriminant_of,
     is_geometrically_simple,
-    is_irreducible,
 )
 
 
@@ -53,10 +52,6 @@ class SmallPrime(ValidationError):
     pass
 
 
-class HypothesisViolated(ValidationError):
-    pass
-
-
 class NotGeometricallySimple(ValidationError):
     pass
 
@@ -67,43 +62,6 @@ class ReducibleEllipticInput(ValidationError):
 
 class NonPositivePower(ValidationError):
     pass
-
-
-@dataclass(frozen=True)
-class GluingExponentReport:
-    """Prime-to-p part of the gluing exponent, with the p-part bounded.
-
-    The prime-to-p part is exact; the p-part is only an upper bound unless
-    the ordinary x supersingular case pins it to zero.
-    """
-
-    prime_to_p_part: int
-    p_part_upper_bound: int
-    exact: bool
-
-
-def gluing_exponent(A: WeilSurface, B: WeilElliptic) -> GluingExponentReport:
-    """e(A, B) = |h(b)| up to a power of p, for separable inputs."""
-    if not B.irreducible:
-        raise InseparableInput("elliptic trace satisfies b^2 = 4q")
-    if not is_irreducible(A):
-        raise InseparableInput("surface Weil polynomial is reducible over Q")
-    hb = A.h(B.b)
-    if hb == 0:
-        raise InseparableInput("h(b) = 0: the inputs share a Weil number")
-    p = A.field.p
-    n = abs(hb)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    exact = v == 0 or (
-        classify_p_rank(A) is PRank.ORDINARY
-        and classify_p_rank(B) is PRank.SUPERSINGULAR
-    )
-    return GluingExponentReport(
-        prime_to_p_part=n, p_part_upper_bound=0 if exact else v, exact=exact
-    )
 
 
 def _check_separable_surface(A: WeilSurface, s: int):
@@ -229,44 +187,6 @@ def hl2_obstruction(A: WeilSurface, strict: bool = False) -> Obstruction:
         if divides_in_lambda(A, ell).divides_square:
             return Obstruction.NO_CONCLUSION
     return Obstruction.OBSTRUCTED
-
-
-def _is_square_mod_prime_power(r: int, ell: int, n: int) -> bool:
-    if ell == 2:
-        if n == 1:
-            return True
-        if n == 2:
-            return r % 4 == 1
-        return r % 8 == 1
-    return kronecker_symbol(r, ell) == 1
-
-
-def find_twisting_prime(
-    delta: int, ell: int, n: int = 1, bound: int = 1_000_000
-) -> int | None:
-    """Smallest prime r' coprime to ell*delta that splits in the imaginary
-    quadratic field of discriminant delta and is not a square mod ell^n.
-
-    Returns None if no such prime appears below the search bound.
-    """
-    if delta >= 0 or delta % 4 not in (0, 1):
-        raise ValueError(f"delta = {delta} is not an imaginary quadratic discriminant")
-    if delta == -ell:
-        raise HypothesisViolated(f"discriminant equals -ell = {-ell}")
-    if ell == 2 and n < 2:
-        raise HypothesisViolated("n > 1 is required when ell = 2")
-    r = 2
-    while r <= bound:
-        if (
-            (ell * delta) % r != 0
-            and kronecker_symbol(delta, r) == 1
-            and not _is_square_mod_prime_power(r, ell, n)
-        ):
-            return r
-        r += 1
-        while r <= bound and not is_probable_prime(r):
-            r += 1
-    return None
 
 
 class VerdictKind(Enum):
@@ -463,24 +383,19 @@ def decide_pair(A: WeilSurface, B: WeilElliptic) -> ScanRow:
     A surface that fails the geometric-simplicity test is rejected whenever
     the verdict would assert anything, and whenever h(b) = 0; an
     Inconclusive outcome asserts nothing, so it is returned, flagged as not
-    geometrically simple.
+    geometrically simple.  A geometrically simple surface has an
+    irreducible f_A, which shares no root with f_B, so h(b) != 0 there.
     """
     if not B.irreducible:
         raise ReducibleEllipticInput("f_B must be irreducible: b^2 < 4q")
     simple, witness_m = is_geometrically_simple(A)
-    try:
-        row = evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
-    except InseparableInput:
-        if simple:
-            raise ArithmeticError("h(b) = 0 for a geometrically simple surface")
-        row = None
     if simple:
-        return row
-    if row is None or row.verdict.kind is not VerdictKind.INCONCLUSIVE:
-        raise NotGeometricallySimple(
-            f"surface splits after base change to F_(q^{witness_m})"
-        )
-    return replace(row, geometrically_simple=False)
+        return evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
+    if A.h(B.b) != 0:
+        row = evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
+        if row.verdict.kind is VerdictKind.INCONCLUSIVE:
+            return replace(row, geometrically_simple=False)
+    raise NotGeometricallySimple(f"surface splits after base change to F_(q^{witness_m})")
 
 
 def decide(A: WeilSurface, B: WeilElliptic) -> GluingVerdict:

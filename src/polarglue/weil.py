@@ -255,11 +255,6 @@ def _weil_quartic_reducible(c3: int, c2: int, qm: int) -> bool:
     return False
 
 
-def is_irreducible(f: WeilSurface) -> bool:
-    """Irreducibility of the quartic over Q, by the finite factor-shape search."""
-    return not _weil_quartic_reducible(f.a1, f.a2, f.q)
-
-
 # Orders n > 1 of the roots of unity with phi(n) | 8; see is_geometrically_simple.
 SPLITTING_DEGREES = (2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30)
 

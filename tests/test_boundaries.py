@@ -70,16 +70,30 @@ def test_each_primitive_is_defined_once():
     assert "_base_change_coeffs" not in defined
 
 
-def test_real_companion_lives_on_the_surface():
-    """h is WeilSurface.h / real_coefficients / real_discriminant; no module
-    defines a separate wrapper for it."""
-    wrapper = {"RealWeilPolynomial", "real_weil", "eval_real"}
+def _assert_defined_nowhere(names: set[str]) -> None:
+    """No function or class under src/ has one of these names, and the
+    package exports none of them."""
     for path in sorted((REPO / "src").rglob("*.py")):
         for node in ast.walk(_tree(path)):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                assert node.name not in wrapper, (path.name, node.name)
-    assert not wrapper & set(vars(polarglue))
+                assert node.name not in names, (path.name, node.name)
+    assert not names & set(vars(polarglue))
+
+
+def test_real_companion_lives_on_the_surface():
+    """h is WeilSurface.h / real_coefficients / real_discriminant; no module
+    defines a separate wrapper for it."""
+    _assert_defined_nowhere({"RealWeilPolynomial", "real_weil", "eval_real"})
     assert {"h", "real_coefficients", "real_discriminant"} <= set(vars(weil.WeilSurface))
+
+
+def test_unread_gluing_helpers_stay_deleted():
+    """The gluing exponent report, the twisting-prime search and the helpers
+    that served only them: no command, scan row or verdict reads them."""
+    _assert_defined_nowhere({
+        "gluing_exponent", "GluingExponentReport", "find_twisting_prime",
+        "_is_square_mod_prime_power", "HypothesisViolated", "is_irreducible",
+    })
 
 
 def test_oracle_takes_no_base_change_from_weil():

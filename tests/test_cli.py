@@ -103,9 +103,10 @@ def test_check_split_surface_with_zero_real_discriminant():
 
 def test_check_rejects_split_surface_with_square_real_discriminant():
     # disc(h) = 0 with h(1) = 1, and disc(h) = 9: a verdict that asserts
-    # something on a split surface exits 65
+    # something on a split surface exits 65; so does h(b) = h(0) = 0
     for args in (("--a1", "0", "--a2", "4", "--b", "1"),
-                 ("--a1", "1", "--a2", "2", "--b", "0")):
+                 ("--a1", "1", "--a2", "2", "--b", "0"),
+                 ("--a1", "0", "--a2", "4", "--b", "0")):
         res = run_cli("check", "--q", "2", *args)
         assert res.returncode == 65, args
         assert res.stdout == ""

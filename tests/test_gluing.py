@@ -8,8 +8,6 @@ import polarglue as pg
 from polarglue import oracle, polys
 from polarglue.gluing import (
     Branch,
-    HypothesisViolated,
-    InseparableInput,
     NoPPReason,
     NotASquare,
     NotGeometricallySimple,
@@ -20,8 +18,6 @@ from polarglue.gluing import (
     VerdictKind,
     decide,
     divides_in_lambda,
-    find_twisting_prime,
-    gluing_exponent,
     hl2_obstruction,
     hl_obstruction,
     ss_quadratic_gluing_valuation,
@@ -36,17 +32,6 @@ F7 = pg.field_param(7)
 F11 = pg.field_param(11)
 
 A211 = pg.make_surface(F2, 1, 1)
-
-
-def test_gluing_exponent_examples():
-    r = gluing_exponent(A211, pg.make_elliptic(F2, 0))
-    assert (r.prime_to_p_part, r.exact, r.p_part_upper_bound) == (3, True, 0)
-    r = gluing_exponent(A211, pg.make_elliptic(F2, 1))
-    assert (r.prime_to_p_part, r.p_part_upper_bound) == (1, 0)
-    r = gluing_exponent(pg.make_surface(F11, -2, 5), pg.make_elliptic(F11, 4))
-    assert r.prime_to_p_part == 9
-    with pytest.raises(InseparableInput):
-        gluing_exponent(A211, pg.make_elliptic(pg.field_param(9), 6))
 
 
 def test_ss_quadratic_gluing_valuation_examples():
@@ -133,37 +118,6 @@ def test_hl2_even_divisor_blocks():
     # q = 3, a2 even: 2 divides h(2s) in the Lambda sense
     A = pg.make_surface(pg.field_param(3), 1, 2)
     assert hl2_obstruction(A) is Obstruction.NO_CONCLUSION
-
-
-def test_find_twisting_prime_examples():
-    assert find_twisting_prime(-8, 3, 1) == 11
-    assert find_twisting_prime(-7, 3, 1) == 2
-    with pytest.raises(HypothesisViolated):
-        find_twisting_prime(-3, 3, 1)
-    with pytest.raises(HypothesisViolated):
-        find_twisting_prime(-7, 2, 1)
-    assert find_twisting_prime(-7, 2, 2) is not None
-
-
-@given(st.sampled_from((-4, -7, -8, -11, -15, -19, -20, -23, -24)),
-       st.sampled_from((3, 5, 7, 11)), st.integers(min_value=1, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_find_twisting_prime_postconditions(delta, ell, n):
-    if delta == -ell:
-        return
-    r = find_twisting_prime(delta, ell, n)
-    assert r is not None and oracle.trial_is_prime(r)
-    assert (ell * delta) % r != 0
-    assert oracle.kronecker_at_prime(delta, r) == 1
-    assert oracle.kronecker_at_prime(r, ell) == -1
-    for smaller in range(2, r):
-        if not oracle.trial_is_prime(smaller):
-            continue
-        assert (
-            (ell * delta) % smaller == 0
-            or oracle.kronecker_at_prime(delta, smaller) != 1
-            or oracle.kronecker_at_prime(smaller, ell) == 1
-        )
 
 
 def test_decide_named_instances():
