@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__, enumeration, gluing, localalg, weil
@@ -84,11 +85,12 @@ def _verdict_exit(v: gluing.GluingVerdict) -> int:
     }[v.kind]
 
 
-def _emit(obj, pretty_lines: list[str] | None, pretty: bool):
-    if pretty and pretty_lines is not None:
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(rec: dict):
+    print(json.dumps(rec, indent=2, sort_keys=True))
+
+
+def _surface(args) -> weil.WeilSurface:
+    return weil.make_surface(weil.field_param(args.q), args.a1, args.a2)
 
 
 def _row_flags(row: gluing.ScanRow) -> dict:
@@ -118,10 +120,8 @@ def _row_record(command: str, row: gluing.ScanRow, deterministic: bool) -> dict:
 
 
 def cmd_check(args) -> int:
-    field = weil.field_param(args.q)
-    row = gluing.decide_pair(
-        weil.make_surface(field, args.a1, args.a2), weil.make_elliptic(field, args.b)
-    )
+    A = _surface(args)
+    row = gluing.decide_pair(A, weil.make_elliptic(A.field, args.b))
     verdict = row.verdict
     lines = [f"h(b) = {row.h_b}", f"verdict: {verdict.kind.value}"]
     if verdict.witness_ell is not None:
@@ -131,7 +131,10 @@ def cmd_check(args) -> int:
         lines.append(f"reason: {verdict.reason.value}")
     for f in verdict.failures:
         lines.append(f"ell = {f.ell} fails: " + "; ".join(f.reasons))
-    _emit(_row_record("check", row, deterministic=False), lines, args.pretty)
+    if args.pretty:
+        print("\n".join(lines))
+    else:
+        _emit(_row_record("check", row, deterministic=False))
     return _verdict_exit(verdict)
 
 
@@ -243,43 +246,26 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _factors(pattern: localalg.FactorPattern) -> list[dict]:
+    return [{"coefficients": g, "multiplicity": m} for g, m in pattern.factors]
+
+
 def cmd_local(args) -> int:
-    field = weil.field_param(args.q)
-    A = weil.make_surface(field, args.a1, args.a2)
-    report = localalg.classify_prime_ideals(A, args.ell)
+    report = localalg.classify_prime_ideals(_surface(args), args.ell)
     witness = report.exceptional_witness
-    rec = _record(
+    # IdealRecord's fields are the v1 keys of an ideal; json writes tuples as lists
+    _emit(_record(
         "local",
         {"q": args.q, "a1": args.a1, "a2": args.a2, "ell": args.ell},
         local_report={
             "ell": report.ell,
-            "f_factors": [
-                {"coefficients": list(g), "multiplicity": m}
-                for g, m in report.factor_pattern.factors
-            ],
-            "h_factors": [
-                {"coefficients": list(g), "multiplicity": m}
-                for g, m in report.h_pattern.factors
-            ],
-            "ideals": [
-                {
-                    "factor": list(r.factor),
-                    "multiplicity": r.multiplicity,
-                    "symmetric": r.symmetric,
-                    "generating": r.generating,
-                    "maximal_at": r.maximal_at,
-                    "exceptional": r.exceptional,
-                    "conjugate_partner": list(r.conjugate_partner)
-                    if r.conjugate_partner
-                    else None,
-                }
-                for r in report.ideals
-            ],
+            "f_factors": _factors(report.factor_pattern),
+            "h_factors": _factors(report.h_pattern),
+            "ideals": [asdict(r) for r in report.ideals],
             "exceptional": witness is not None,
-            "exceptional_witness": list(witness) if witness else None,
+            "exceptional_witness": witness,
         },
-    )
-    _emit(rec, None, False)
+    ))
     return 0
 
 
@@ -290,23 +276,18 @@ _OBSTRUCTED_TEXT = (
 
 
 def cmd_obstruct(args) -> int:
-    field = weil.field_param(args.q)
-    A = weil.make_surface(field, args.a1, args.a2)
+    if args.ss_surface and args.n is not None:
+        args.usage_error("argument --n: not allowed with argument --ss-surface")
+    A = _surface(args)
     if args.ss_surface:
-        if args.s is not None or args.n is not None:
-            raise gluing.SquareField("--ss-surface excludes --s/--n")
         status = gluing.hl2_obstruction(A, strict=args.hl2_strict)
-        mode = "hl2"
-        h_val = None
+        mode, h_val = "hl2", None
     else:
-        if args.s is None:
-            raise gluing.NotASquare("square q needs --s (and optionally --n)")
         n = args.n if args.n is not None else 1
         status = gluing.hl_obstruction(A, args.s, n)
-        mode = "hl"
-        h_val = A.h(2 * args.s)
+        mode, h_val = "hl", A.h(2 * args.s)
     obstructed = status is gluing.Obstruction.OBSTRUCTED
-    rec = _record(
+    _emit(_record(
         "obstruct",
         {
             "q": args.q,
@@ -322,8 +303,7 @@ def cmd_obstruct(args) -> int:
             "statement": _OBSTRUCTED_TEXT if obstructed else None,
             "h_at_2s": h_val,
         },
-    )
-    _emit(rec, None, False)
+    ))
     return EXIT_EXISTS if obstructed else EXIT_INCONCLUSIVE
 
 
@@ -368,11 +348,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     hl2_strict = _config_choice(parser, config, "hl2_strict", booleans, fold=True) == "true"
     scan_format = _config_choice(parser, config, "format", ("json", "csv"))
     sub = parser.add_subparsers(dest="command", required=True)
+    surface = argparse.ArgumentParser(add_help=False)
+    for flag in ("--q", "--a1", "--a2"):
+        surface.add_argument(flag, type=int, required=True)
 
-    check = sub.add_parser("check", help="decide one surface x elliptic pair")
-    check.add_argument("--q", type=int, required=True)
-    check.add_argument("--a1", type=int, required=True)
-    check.add_argument("--a2", type=int, required=True)
+    check = sub.add_parser(
+        "check", parents=[surface], help="decide one surface x elliptic pair"
+    )
     check.add_argument("--b", type=int, required=True)
     check.add_argument("--pretty", action="store_true", default=pretty)
     check.set_defaults(func=cmd_check)
@@ -383,24 +365,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("json", "csv"), default=scan_format)
     scan.set_defaults(func=cmd_scan)
 
-    local = sub.add_parser("local", help="per-prime ideal classification report")
-    local.add_argument("--q", type=int, required=True)
-    local.add_argument("--a1", type=int, required=True)
-    local.add_argument("--a2", type=int, required=True)
+    local = sub.add_parser(
+        "local", parents=[surface], help="per-prime ideal classification report"
+    )
     local.add_argument("--ell", type=int, required=True)
     local.set_defaults(func=cmd_local)
 
     obstruct = sub.add_parser(
-        "obstruct", help="ordinary x supersingular non-existence tests"
+        "obstruct", parents=[surface], help="ordinary x supersingular non-existence tests"
     )
-    obstruct.add_argument("--q", type=int, required=True)
-    obstruct.add_argument("--a1", type=int, required=True)
-    obstruct.add_argument("--a2", type=int, required=True)
-    obstruct.add_argument("--s", type=int, default=None)
-    obstruct.add_argument("--n", type=int, default=None)
-    obstruct.add_argument("--ss-surface", action="store_true")
+    mode = obstruct.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--s", type=int)
+    mode.add_argument("--ss-surface", action="store_true")
+    obstruct.add_argument("--n", type=int)
     obstruct.add_argument("--hl2-strict", action="store_true", default=hl2_strict)
-    obstruct.set_defaults(func=cmd_obstruct)
+    obstruct.set_defaults(func=cmd_obstruct, usage_error=obstruct.error)
     return parser
 
 

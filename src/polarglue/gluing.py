@@ -12,12 +12,11 @@ from enum import Enum
 from math import isqrt
 
 from . import polys
-from .arith import factor_integer, is_probable_prime, is_squarefree, kronecker_symbol
+from .arith import factor_integer, is_squarefree, kronecker_symbol
 from .localalg import (
-    CharacteristicPrime,
     DoubleRoot,
-    NotPrime,
     SplittingType,
+    check_ell,
     double_root_condition,
     is_exceptional,
 )
@@ -78,10 +77,7 @@ def ss_quadratic_gluing_valuation(A: WeilSurface, s: int, ell: int) -> int:
     q = A.q
     if s * s != q:
         raise NotASquare(f"s^2 = {s * s} differs from q = {q}")
-    if not is_probable_prime(ell):
-        raise NotPrime(f"ell = {ell} is not prime")
-    if ell == A.field.p:
-        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+    check_ell(ell, A.field.p)
     _check_separable_surface(A, s)
     f = A.coefficients()
     f_s = polys.evaluate(f, s)
@@ -137,12 +133,9 @@ def divides_in_lambda(A: WeilSurface, ell: int) -> LambdaDivisibility:
     an odd prime ell != p, where t^2 - q is split or inert."""
     if A.field.is_square:
         raise SquareField("q must not be a square")
-    if not is_probable_prime(ell):
-        raise NotPrime(f"ell = {ell} is not prime")
     if ell == 2:
         raise SmallPrime("ell = 2 ramifies in Z[t]/(t^2 - q)")
-    if ell == A.field.p:
-        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+    check_ell(ell, A.field.p)
     q = A.q
     u = A.a2 + 2 * q
     v = 2 * A.a1
@@ -361,11 +354,10 @@ def evaluate_pair(
 ) -> ScanRow:
     """The row for A x B: h(b), its prime divisors (looked up in the memo
     primes_of, or factored and stored there), the verdict of
-    decide_from_invariants and the primes of h(b) in A.exceptional."""
+    decide_from_invariants and the primes of h(b) in A.exceptional.
+    h(b) != 0 is the caller's to ensure, as for geometric simplicity."""
     E = B.elliptic
     h_b = A.surface.h(E.b)
-    if h_b == 0:
-        raise InseparableInput("h(b) = 0: the inputs share a Weil number")
     primes = primes_of.get(h_b)
     if primes is None:
         primes = primes_of[h_b] = factor_integer(h_b).primes

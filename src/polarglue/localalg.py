@@ -32,6 +32,14 @@ class ReducibleField(ValidationError):
     """The real companion polynomial is reducible, so K+ is not a field."""
 
 
+def check_ell(ell: int, p: int | None = None) -> None:
+    """Raise NotPrime unless ell is prime, then CharacteristicPrime if ell = p."""
+    if not is_probable_prime(ell):
+        raise NotPrime(f"ell = {ell} is not prime")
+    if ell == p:
+        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+
+
 Factor = tuple[int, ...]
 
 
@@ -48,10 +56,6 @@ class FactorPattern:
             for _ in range(mult):
                 out = polys.mul_mod(out, list(g), self.ell)
         return out
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(mult == 1 for _, mult in self.factors)
 
 
 _X = [0, 1]
@@ -73,6 +77,7 @@ def factor_mod_prime(f: Sequence[int], ell: int) -> FactorPattern:
     polynomial in log ell; the reference oracle.trial_factor_mod_prime
     searches all roots and monic quadratics, about ell^2 divisions.
     """
+    check_ell(ell)
     g = polys.monic_mod(list(f), ell)
     if polys.degree(g) > 4:
         raise ValueError("degree must be <= 4")
@@ -190,8 +195,7 @@ def splitting_in_real_subfield(disc: int, ell: int) -> SplittingType:
     m: ell ramifies when v is odd, or when ell = 2 and m = 3 mod 4;
     otherwise (m | ell) = 1 means split and -1 inert.  Nothing is factored.
     """
-    if ell < 2:
-        raise NotPrime(f"ell = {ell} is not prime")
+    check_ell(ell)
     if disc >= 0 and isqrt(disc) ** 2 == disc:
         raise ReducibleField(f"disc(h) = {disc} is a perfect square")
     v, m = 0, disc
@@ -211,8 +215,7 @@ def is_exceptional(f: WeilSurface, ell: int) -> tuple[bool, Factor | None]:
     A surface whose real companion h is reducible over Q (disc(h) a square)
     has no quadratic real subfield and is never exceptional.
     """
-    if ell == f.field.p:
-        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+    check_ell(ell, f.field.p)
     disc = f.real_discriminant()
     if disc % (ell * ell) != 0:
         return (False, None)
@@ -250,8 +253,7 @@ def double_root_condition(B: WeilElliptic, ell: int) -> tuple[DoubleRoot, int | 
 
     The answer does not depend on the lift of t1 since f_B'(t1) = 0 mod ell.
     """
-    if ell == B.field.p:
-        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+    check_ell(ell, B.field.p)
     b, q = B.b, B.q
     if ell == 2:
         if b % 2 != 0:
@@ -307,10 +309,7 @@ def classify_prime_ideals(f: WeilSurface, ell: int) -> LocalPrimeReport:
     does not divide t^2 - q mod ell: x -> q/x is an automorphism of
     F_ell[x]/(g) of order 1 or 2, trivial exactly when x^2 = q.
     """
-    if not is_probable_prime(ell):
-        raise NotPrime(f"ell = {ell} is not prime")
-    if ell == f.field.p:
-        raise CharacteristicPrime(f"ell = {ell} is the characteristic")
+    check_ell(ell, f.field.p)
     q = f.q
     pattern = factor_mod_prime(f.coefficients(), ell)
     h_pattern = factor_mod_prime(f.real_coefficients(), ell)

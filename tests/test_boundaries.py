@@ -50,8 +50,8 @@ def test_oracle_shares_no_arithmetic_with_the_engine():
 
 
 def test_each_primitive_is_defined_once():
-    """Module-level functions only: FactorPattern.is_squarefree is about
-    polynomials mod ell, not integers."""
+    """Module-level functions only, so a method of the same name would not
+    count as a second definition."""
     defined: dict[str, list[str]] = {}
     for path in sorted((REPO / "src").rglob("*.py")):
         for node in _tree(path).body:
@@ -94,6 +94,19 @@ def test_unread_gluing_helpers_stay_deleted():
         "gluing_exponent", "GluingExponentReport", "find_twisting_prime",
         "_is_square_mod_prime_power", "HypothesisViolated", "is_irreducible",
     })
+
+
+def test_ell_is_checked_in_one_place():
+    """NotPrime and CharacteristicPrime are each raised once under src/, in
+    localalg.check_ell, which every per-prime function calls."""
+    raised: dict[str, list[str]] = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = getattr(node.exc.func, "id", None) or getattr(node.exc.func, "attr", None)
+                raised.setdefault(name, []).append(path.name)
+    for error in ("NotPrime", "CharacteristicPrime"):
+        assert raised.get(error) == ["localalg.py"], (error, raised.get(error))
 
 
 def test_oracle_takes_no_base_change_from_weil():

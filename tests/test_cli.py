@@ -409,6 +409,18 @@ def test_obstruct_mode_mismatch():
     # hl on a non-square field
     res2 = run_cli("obstruct", "--q", "2", "--a1", "1", "--a2", "1", "--s", "1", "--n", "1")
     assert res2.returncode == 65
+    # exactly one of --s and --ss-surface, and --n only with --s: a usage
+    # error from obstruct's parser, whatever the field
+    for extra, message in (
+        ((), "one of the arguments --s --ss-surface is required"),
+        (("--ss-surface", "--s", "1"), "argument --s: not allowed with argument --ss-surface"),
+        (("--ss-surface", "--n", "2"), "argument --n: not allowed with argument --ss-surface"),
+    ):
+        res3 = run_cli("obstruct", "--q", "2", "--a1", "1", "--a2", "1", *extra)
+        assert res3.returncode == 64, (extra, res3.stderr)
+        assert res3.stdout == ""
+        assert f"polarglue obstruct: error: {message}" in res3.stderr
+        assert "Traceback" not in res3.stderr
 
 
 def test_config_file(tmp_path):

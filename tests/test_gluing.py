@@ -14,6 +14,7 @@ from polarglue.gluing import (
     NotOrdinary,
     Obstruction,
     ReducibleEllipticInput,
+    SmallPrime,
     SquareField,
     VerdictKind,
     decide,
@@ -22,7 +23,16 @@ from polarglue.gluing import (
     hl_obstruction,
     ss_quadratic_gluing_valuation,
 )
-from polarglue.localalg import NotPrime, SplittingType, is_exceptional
+from polarglue.localalg import (
+    NotPrime,
+    SplittingType,
+    classify_prime_ideals,
+    dedekind_is_maximal,
+    double_root_condition,
+    factor_mod_prime,
+    is_exceptional,
+    splitting_in_real_subfield,
+)
 
 from conftest import surfaces
 
@@ -69,18 +79,31 @@ def _raise_timeout(signum, frame):
 
 
 def test_local_helpers_reject_non_prime_ell():
-    """Both helpers refuse a non-prime ell at once; under a 5 s alarm, so a
-    loop that never ends (ell = 1 once did) fails instead of hanging."""
+    """Every per-prime entry point refuses a non-prime ell at once; under a
+    5 s alarm, so a loop that never ends (ell = 1 once did) fails instead of
+    hanging.  divides_in_lambda names ell = 2 with SmallPrime even where it
+    is the characteristic."""
     A = pg.make_surface(F4, 1, -3)
     A27 = pg.make_surface(pg.field_param(27), 1, 1)
+    entry_points = (
+        lambda ell: ss_quadratic_gluing_valuation(A, 2, ell),
+        lambda ell: divides_in_lambda(A27, ell),
+        lambda ell: factor_mod_prime(A.coefficients(), ell),
+        lambda ell: dedekind_is_maximal(A.coefficients(), ell),
+        lambda ell: splitting_in_real_subfield(72, ell),
+        lambda ell: is_exceptional(A, ell),
+        lambda ell: double_root_condition(pg.make_elliptic(F4, 1), ell),
+        lambda ell: classify_prime_ideals(A, ell),
+    )
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.alarm(5)
     try:
         for ell in (0, 1, 9, 15):
-            with pytest.raises(NotPrime):
-                ss_quadratic_gluing_valuation(A, 2, ell)
-            with pytest.raises(NotPrime):
-                divides_in_lambda(A27, ell)
+            for entry_point in entry_points:
+                with pytest.raises(NotPrime):
+                    entry_point(ell)
+        with pytest.raises(SmallPrime):
+            divides_in_lambda(pg.make_surface(pg.field_param(8), 1, 1), 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

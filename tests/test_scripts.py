@@ -64,8 +64,21 @@ def test_scan_digests():
     assert all(len(sha) == 64 for *_, sha in rows)
 
 
+def test_cli_digests():
+    lines = run_script("cli_digests.py")
+    rows = [line.split(maxsplit=3) for line in lines]
+    assert len(rows) == 31
+    assert all(len(out) == len(err) == 64 for _, out, err, _ in rows)
+    codes = {args: int(code) for code, _, _, args in rows}
+    assert codes["check --q 2 --a1 1 --a2 1 --b 0"] == 0
+    assert codes["local --q 11 --a1 -2 --a2 5 --ell 9"] == 65
+    assert codes["obstruct --q 2 --a1 1 --a2 1"] == 64
+    assert codes["--help"] == 0
+
+
 @pytest.mark.parametrize("args", [
     ("scan_digests.py", "--max-q", "4"),
+    ("cli_digests.py",),
     # about 210 kB, more than the pipe and stdout buffers hold
     ("scan_field.py", "--q", "25", "--show-inconclusive"),
 ])
