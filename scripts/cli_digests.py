@@ -15,12 +15,10 @@ Exits quietly with 1 if the reader closes stdout early.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from _checkout import child_env, run_main
 
 _A211 = ("--q", "2", "--a1", "1", "--a2", "1")
 _A11 = ("--q", "11", "--a1", "-2", "--a2", "5")
@@ -53,6 +51,7 @@ INVOCATIONS = [
     ("obstruct", *_A211),
     ("obstruct", *_A211, "--ss-surface", "--s", "1"),
     ("obstruct", *_A211, "--ss-surface", "--n", "2"),
+    ("obstruct", "--q", "4", "--a1", "1", "--a2", "1", "--s", "2", "--hl2-strict"),
     ("--help",),
     ("check", "--help"),
     ("local", "--help"),
@@ -61,12 +60,9 @@ INVOCATIONS = [
 
 
 def run(args: tuple[str, ...]) -> str:
-    env = dict(os.environ)
-    env.pop("POLARGLUE_CONFIG", None)
-    env["PYTHONPATH"] = str(SRC)
-    env["COLUMNS"] = "80"
     res = subprocess.run(
-        [sys.executable, "-m", "polarglue", *args], capture_output=True, env=env,
+        [sys.executable, "-m", "polarglue", *args], capture_output=True,
+        env={**child_env(), "COLUMNS": "80"},
     )
     stdout = b"".join(
         line for line in res.stdout.splitlines(keepends=True)
@@ -86,11 +82,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-    except BrokenPipeError:
-        # the reader stopped early (`| head`): exit 1 without a traceback;
-        # stdout goes to devnull so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run_main(main)

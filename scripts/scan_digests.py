@@ -15,12 +15,10 @@ the reader closes stdout early.
 
 import argparse
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from _checkout import child_env, run_main
 
 
 def prime_powers(limit: int) -> list[int]:
@@ -36,12 +34,9 @@ def prime_powers(limit: int) -> list[int]:
 
 
 def digest(q: int, fmt: str) -> tuple[int, str]:
-    env = dict(os.environ)
-    env.pop("POLARGLUE_CONFIG", None)
-    env["PYTHONPATH"] = str(SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "polarglue", "scan", "--q", str(q), "--format", fmt],
-        stdout=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, env=child_env(),
     )
     h = hashlib.sha256()
     lines = starts = 0
@@ -65,11 +60,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-    except BrokenPipeError:
-        # the reader stopped early (`| head`): exit 1 without a traceback;
-        # stdout goes to devnull so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run_main(main)

@@ -7,11 +7,10 @@ Exits 1 without a traceback if the reader closes stdout early.
 """
 
 import argparse
-import os
-import sys
 from collections import Counter
 
 import polarglue as pg
+from _checkout import run_main
 
 
 def main():
@@ -52,11 +51,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-    except BrokenPipeError:
-        # the reader stopped early (`| head`): exit 1 without a traceback;
-        # stdout goes to devnull so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run_main(main)

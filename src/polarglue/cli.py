@@ -102,16 +102,12 @@ def _row_flags(row: gluing.ScanRow) -> dict:
     }
 
 
-def _row_query(row: gluing.ScanRow) -> dict:
-    A = row.surface
-    return {"q": A.q, "a1": A.a1, "a2": A.a2, "b": row.elliptic.b}
-
-
 def _row_record(command: str, row: gluing.ScanRow, deterministic: bool) -> dict:
     """The v1 record of one decided pair, for `check` and for `scan-row`."""
+    A = row.surface
     return _record(
         command,
-        _row_query(row),
+        {"q": A.q, "a1": A.a1, "a2": A.a2, "b": row.elliptic.b},
         deterministic=deterministic,
         h_b=row.h_b,
         flags=_row_flags(row),
@@ -122,44 +118,20 @@ def _row_record(command: str, row: gluing.ScanRow, deterministic: bool) -> dict:
 def cmd_check(args) -> int:
     A = _surface(args)
     row = gluing.decide_pair(A, weil.make_elliptic(A.field, args.b))
-    verdict = row.verdict
-    lines = [f"h(b) = {row.h_b}", f"verdict: {verdict.kind.value}"]
-    if verdict.witness_ell is not None:
-        lines.append(f"witness ell = {verdict.witness_ell} ({verdict.branch.value})")
-        lines.append(verdict.jacobian_text)
-    if verdict.reason is not None:
-        lines.append(f"reason: {verdict.reason.value}")
-    for f in verdict.failures:
-        lines.append(f"ell = {f.ell} fails: " + "; ".join(f.reasons))
-    if args.pretty:
-        print("\n".join(lines))
-    else:
+    if not args.pretty:
         _emit(_row_record("check", row, deterministic=False))
-    return _verdict_exit(verdict)
-
-
-def _write_csv(rows, out) -> None:
-    """One formatted line per row.  No field can hold ",", '"' or a
-    newline (integers, enum values, and flags built from those), so the
-    bytes equal csv.writer's.  The flags cell depends only on the key
-    below, a few hundred values per scan, so it is built once per key."""
-    out.write("a1,a2,b,h_b,verdict,witness_ell,branch,flags\n")
-    flags_of: dict[tuple, str] = {}
-    for row in rows:
-        key = (row.surface_p_rank, row.elliptic_p_rank,
-               row.geometrically_simple, row.exceptional_primes)
-        flags = flags_of.get(key)
-        if flags is None:
-            flags = flags_of[key] = ";".join(
-                f"{k}={v}" for k, v in _row_flags(row).items())
-        verdict = row.verdict
-        ell = verdict.witness_ell
-        branch = verdict.branch
-        out.write(
-            f"{row.surface.a1},{row.surface.a2},{row.elliptic.b},{row.h_b},"
-            f"{verdict.kind.value},{'' if ell is None else ell},"
-            f"{branch.value if branch else ''},{flags}\n"
-        )
+        return _verdict_exit(row.verdict)
+    v = _verdict_payload(row.verdict)
+    lines = [f"h(b) = {row.h_b}", f"verdict: {v['kind']}"]
+    if v["witness_ell"] is not None:
+        lines.append(f"witness ell = {v['witness_ell']} ({v['branch']})")
+        lines.append(v["jacobian_text"])
+    if v["reason"] is not None:
+        lines.append(f"reason: {v['reason']}")
+    for f in v["failures"]:
+        lines.append(f"ell = {f['ell']} fails: " + "; ".join(f["reasons"]))
+    print("\n".join(lines))
+    return _verdict_exit(row.verdict)
 
 
 def _dump_at(obj, depth: int) -> str:
@@ -169,8 +141,9 @@ def _dump_at(obj, depth: int) -> str:
 
 
 def _row_template(row: gluing.ScanRow) -> str:
-    """The scan-row record of row as an array element (depth 1), with each
-    per-row value a str.format field named after its key.
+    """The scan-row record of row as an array element (depth 1), with the
+    per-row values q, a1, a2, b, h_b, flags and verdict as the str.format
+    fields {0} to {6}.
 
     The text is _row_record's own dump with those values replaced by
     marker strings, so the record layout has no second copy here.  The
@@ -180,66 +153,84 @@ def _row_template(row: gluing.ScanRow) -> str:
     rec["query"] = {key: f"\0{key}\0" for key in rec["query"]}
     rec.update({key: f"\0{key}\0" for key in ("h_b", "flags", "verdict")})
     text = _dump_at(rec, 1).replace("{", "{{").replace("}", "}}")
-    for key in (*rec["query"], "h_b", "flags", "verdict"):
-        text = text.replace(json.dumps(f"\0{key}\0"), "{" + key + "}")
+    for i, key in enumerate((*rec["query"], "h_b", "flags", "verdict")):
+        text = text.replace(json.dumps(f"\0{key}\0"), f"{{{i}}}")
     return text
 
 
-def _write_json(rows, out) -> None:
-    """Write the bytes of json.dumps(records, indent=2, sort_keys=True) + "\n"
-    for the scan-row records of rows, one record at a time.
+def _csv_row(q, a1, a2, b, h_b, flags, verdict) -> str:
+    """A csv line, from the fields of _row_template (csv has no q column)."""
+    return f"{a1},{a2},{b},{h_b},{verdict},{flags}\n"
 
-    With an indent, CPython's json encodes in pure Python, which cost
-    more than deciding the rows.  Each record is instead filled into one
-    str.format template (_row_template): integers go in as they are,
-    and the flags and verdict objects are dumped on their own (_dump_at)
-    and kept, the flags per key as in _write_csv, a conclusive verdict
-    per shared object (kept alive beside its text, so its id cannot be
-    reused).  An inconclusive verdict is built per row and dumped per
-    row."""
+
+def _write_scan(rows, out, fmt: str) -> None:
+    """Write rows as csv, or as the bytes of json.dumps(records, indent=2,
+    sort_keys=True) + "\n" for their scan-row records, one row at a time.
+
+    A format is data chosen once, before the loop: the text for no rows,
+    the head, separator and tail around the rows, the row fill, and the
+    text of a _row_flags or _verdict_payload dict.  The flags text is
+    built once per key below (a few per scan), a conclusive verdict's text
+    once per shared object (kept alive beside its text, so its id cannot
+    be reused), and an inconclusive verdict's text per row.
+
+    No csv field can hold ",", '"' or a newline (integers, enum values,
+    and flags built from those), so the bytes equal csv.writer's.  With an
+    indent, CPython's json encodes in pure Python, which cost more than
+    deciding the rows; hence the json row template (_row_template)."""
     rows = iter(rows)
     first = next(rows, None)
+    if fmt == "csv":
+        head = empty = "a1,a2,b,h_b,verdict,witness_ell,branch,flags\n"
+        sep = tail = ""
+        fill = _csv_row
+        flags_text = lambda d: ";".join(f"{k}={x}" for k, x in d.items())
+        verdict_text = lambda p: ",".join("" if x is None else str(x) for x in (
+            p["kind"], p["witness_ell"], p["branch"]))
+    else:
+        empty, head, sep, tail = "[]\n", "[\n  ", ",\n  ", "\n]\n"
+        fill = None if first is None else _row_template(first).format
+        flags_text = verdict_text = lambda d: _dump_at(d, 2)
     if first is None:
-        out.write("[]\n")
+        out.write(empty)
         return
-    template = _row_template(first)
     flags_of: dict[tuple, str] = {}
     verdict_of: dict[int, tuple[gluing.GluingVerdict, str]] = {}
     inconclusive = gluing.VerdictKind.INCONCLUSIVE
 
-    def fill(row) -> str:
-        key = (row.surface_p_rank, row.elliptic_p_rank,
+    def line(row) -> str:
+        # enum members live as long as the program; hashing one runs Python code
+        key = (id(row.surface_p_rank), id(row.elliptic_p_rank),
                row.geometrically_simple, row.exceptional_primes)
         flags = flags_of.get(key)
         if flags is None:
-            flags = flags_of[key] = _dump_at(_row_flags(row), 2)
+            flags = flags_of[key] = flags_text(_row_flags(row))
         v = row.verdict
         if v.kind is inconclusive:
-            verdict = _dump_at(_verdict_payload(v), 2)
+            verdict = verdict_text(_verdict_payload(v))
         else:
             kept = verdict_of.get(id(v))
             if kept is None:
-                kept = verdict_of[id(v)] = (v, _dump_at(_verdict_payload(v), 2))
+                kept = verdict_of[id(v)] = (v, verdict_text(_verdict_payload(v)))
             verdict = kept[1]
-        return template.format(h_b=row.h_b, flags=flags, verdict=verdict,
-                               **_row_query(row))
+        A = row.surface
+        return fill(A.q, A.a1, A.a2, row.elliptic.b, row.h_b, flags, verdict)
 
-    out.write("[\n  " + fill(first))
+    out.write(head + line(first))
     for row in rows:
-        out.write(",\n  " + fill(row))
-    out.write("\n]\n")
+        out.write(sep + line(row))
+    out.write(tail)
 
 
 def cmd_scan(args) -> int:
     field = weil.field_param(args.q)
-    write = _write_csv if args.format == "csv" else _write_json
     rows = enumeration.scan_pairs(field)
     if not args.out:
-        write(rows, sys.stdout)
+        _write_scan(rows, sys.stdout, args.format)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(rows, fh)
+            _write_scan(rows, fh, args.format)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -278,9 +269,12 @@ _OBSTRUCTED_TEXT = (
 def cmd_obstruct(args) -> int:
     if args.ss_surface and args.n is not None:
         args.usage_error("argument --n: not allowed with argument --ss-surface")
+    if args.s is not None and args.hl2_strict:
+        args.usage_error("argument --hl2-strict: not allowed with argument --s")
     A = _surface(args)
     if args.ss_surface:
-        status = gluing.hl2_obstruction(A, strict=args.hl2_strict)
+        strict = args.hl2_strict or args.config_hl2_strict
+        status = gluing.hl2_obstruction(A, strict=strict)
         mode, h_val = "hl2", None
     else:
         n = args.n if args.n is not None else 1
@@ -378,8 +372,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     mode.add_argument("--s", type=int)
     mode.add_argument("--ss-surface", action="store_true")
     obstruct.add_argument("--n", type=int)
-    obstruct.add_argument("--hl2-strict", action="store_true", default=hl2_strict)
-    obstruct.set_defaults(func=cmd_obstruct, usage_error=obstruct.error)
+    # the config default stays apart from the flag, so only the flag clashes with --s
+    obstruct.add_argument("--hl2-strict", action="store_true")
+    obstruct.set_defaults(func=cmd_obstruct, usage_error=obstruct.error,
+                          config_hl2_strict=hl2_strict)
     return parser
 
 

@@ -96,6 +96,23 @@ def test_unread_gluing_helpers_stay_deleted():
     })
 
 
+def test_one_scan_writer():
+    """_write_scan formats every scan row, and cli turns enums into text
+    only in _row_flags, _verdict_payload and cmd_obstruct's status."""
+    _assert_defined_nowhere({"_write_csv", "_write_json", "_row_query"})
+
+    def value_reads(node: ast.AST) -> int:
+        return sum(isinstance(n, ast.Attribute) and n.attr == "value" for n in ast.walk(node))
+
+    tree = _tree(PACKAGE / "cli.py")
+    allowed = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef)
+        and node.name in {"_row_flags", "_verdict_payload", "cmd_obstruct"}
+    ]
+    assert len(allowed) == 3
+    assert value_reads(tree) == sum(map(value_reads, allowed))
+
+
 def test_ell_is_checked_in_one_place():
     """NotPrime and CharacteristicPrime are each raised once under src/, in
     localalg.check_ell, which every per-prime function calls."""

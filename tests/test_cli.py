@@ -228,12 +228,15 @@ def test_json_writer_matches_one_dump():
     cases = [rows[:0], rows[:1], rows[:2], rows, hand_built, hand_built[::-1] + rows[:3]]
     for case in cases:
         buf = io.StringIO()
-        cli._write_json(case, buf)
+        cli._write_scan(case, buf, "json")
         records = [cli._row_record("scan-row", r, deterministic=True) for r in case]
         assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_writer_matches_csv_module():
+    """The scan writer's csv equals csv.writer's, for no rows (the header
+    alone), engine rows and hand-built rows whose verdicts, flags, or
+    equal but distinct conclusive verdict objects differ."""
     import csv
     import io
     from dataclasses import replace
@@ -243,6 +246,8 @@ def test_csv_writer_matches_csv_module():
 
     rows = [r for q in (7, 9) for r in pg.scan_pairs(pg.field_param(q))]
     base = rows[0]
+    exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
+                  branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
     rows += [
         replace(base, verdict=gluing.GluingVerdict(
             kind=gluing.VerdictKind.NO_IRREDUCIBLE_PP, reason=gluing.NoPPReason.HB_UNIT)),
@@ -251,21 +256,25 @@ def test_csv_writer_matches_csv_module():
             failures=(gluing.PrimeFailure(ell=3, reasons=("a reason",)),))),
         replace(base, geometrically_simple=False),
         replace(base, exceptional_primes=(3, 5)),
+        replace(base, verdict=gluing.GluingVerdict(**exists)),
+        replace(base, verdict=gluing.GluingVerdict(**exists)),
     ]
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"])
-    for row in rows:
-        v = row.verdict
-        writer.writerow(
-            [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b, v.kind.value,
-             "" if v.witness_ell is None else v.witness_ell,
-             v.branch.value if v.branch else "",
-             ";".join(f"{k}={x}" for k, x in cli._row_flags(row).items())]
-        )
-    got = io.StringIO()
-    cli._write_csv(rows, got)
-    assert got.getvalue() == want.getvalue()
+    assert rows[-1].verdict is not rows[-2].verdict
+    for case in (rows[:0], rows):
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"])
+        for row in case:
+            v = row.verdict
+            writer.writerow(
+                [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b, v.kind.value,
+                 "" if v.witness_ell is None else v.witness_ell,
+                 v.branch.value if v.branch else "",
+                 ";".join(f"{k}={x}" for k, x in cli._row_flags(row).items())]
+            )
+        got = io.StringIO()
+        cli._write_scan(case, got, "csv")
+        assert got.getvalue() == want.getvalue()
     assert "exceptional_primes=3|5" in got.getvalue()
 
 
@@ -415,6 +424,7 @@ def test_obstruct_mode_mismatch():
         ((), "one of the arguments --s --ss-surface is required"),
         (("--ss-surface", "--s", "1"), "argument --s: not allowed with argument --ss-surface"),
         (("--ss-surface", "--n", "2"), "argument --n: not allowed with argument --ss-surface"),
+        (("--s", "2", "--hl2-strict"), "argument --hl2-strict: not allowed with argument --s"),
     ):
         res3 = run_cli("obstruct", "--q", "2", "--a1", "1", "--a2", "1", *extra)
         assert res3.returncode == 64, (extra, res3.stderr)
@@ -432,6 +442,15 @@ def test_config_file(tmp_path):
     res2 = run_cli("scan", "--q", "2", "--format", "json",
                    env_extra={"POLARGLUE_CONFIG": str(cfg)})
     json.loads(res2.stdout)
+    # hl2_strict sets the --ss-surface default and leaves --s runs alone
+    cfg.write_text("hl2_strict=true\n")
+    env = {"POLARGLUE_CONFIG": str(cfg)}
+    res3 = run_cli("obstruct", "--q", "2", "--a1", "1", "--a2", "1", "--ss-surface",
+                   env_extra=env)
+    assert res3.returncode == 2, res3.stderr
+    assert json.loads(res3.stdout)["obstruction"]["status"] == "no_conclusion"
+    res4 = run_cli("obstruct", "--q", "4", "--a1", "1", "--a2", "1", "--s", "2", env_extra=env)
+    assert res4.returncode == 0, res4.stderr
 
 
 def test_bad_config_values_exit_64_naming_the_key(tmp_path):

@@ -67,12 +67,13 @@ def test_scan_digests():
 def test_cli_digests():
     lines = run_script("cli_digests.py")
     rows = [line.split(maxsplit=3) for line in lines]
-    assert len(rows) == 31
+    assert len(rows) == 32
     assert all(len(out) == len(err) == 64 for _, out, err, _ in rows)
     codes = {args: int(code) for code, _, _, args in rows}
     assert codes["check --q 2 --a1 1 --a2 1 --b 0"] == 0
     assert codes["local --q 11 --a1 -2 --a2 5 --ell 9"] == 65
     assert codes["obstruct --q 2 --a1 1 --a2 1"] == 64
+    assert codes["obstruct --q 4 --a1 1 --a2 1 --s 2 --hl2-strict"] == 64
     assert codes["--help"] == 0
 
 
