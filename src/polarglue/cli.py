@@ -199,22 +199,18 @@ def _write_scan(rows, out, fmt: str) -> None:
     inconclusive = gluing.VerdictKind.INCONCLUSIVE
 
     def line(row) -> str:
+        A, E, h_b, v, surface_rank, elliptic_rank, exceptional, simple = row
         # enum members live as long as the program; hashing one runs Python code
-        key = (id(row.surface_p_rank), id(row.elliptic_p_rank),
-               row.geometrically_simple, row.exceptional_primes)
-        flags = flags_of.get(key)
-        if flags is None:
+        key = (id(surface_rank), id(elliptic_rank), simple, exceptional)
+        if (flags := flags_of.get(key)) is None:
             flags = flags_of[key] = flags_text(_row_flags(row))
-        v = row.verdict
         if v.kind is inconclusive:
             verdict = verdict_text(_verdict_payload(v))
         else:
-            kept = verdict_of.get(id(v))
-            if kept is None:
+            if (kept := verdict_of.get(id(v))) is None:
                 kept = verdict_of[id(v)] = (v, verdict_text(_verdict_payload(v)))
             verdict = kept[1]
-        A = row.surface
-        return fill(A.q, A.a1, A.a2, row.elliptic.b, row.h_b, flags, verdict)
+        return fill(A.q, A.a1, A.a2, E.b, h_b, flags, verdict)
 
     out.write(head + line(first))
     for row in rows:

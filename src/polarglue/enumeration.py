@@ -99,16 +99,16 @@ def scan_pairs(field: FieldParam) -> Iterator[ScanRow]:
     """Decide every (geometrically simple surface) x (irreducible elliptic)
     pair over F_q; rows are yielded in lexicographic (a1, a2, b) order.
 
-    One serial pass: the elliptic invariants are built before the pair
-    loop, the surface invariants once per surface, and each distinct h(b)
-    is factored once.  A pool of threads or processes measured slower than
-    this pass, since the work is pure Python.
+    One serial pass: elliptic invariants before the pair loop, surface
+    invariants once per surface, and one memo for b^2 - 4q, disc(h_A) and
+    h(b), so each integer is factored once per scan.  Pools of threads or
+    processes measured slower, since the work is pure Python.
     """
+    factored: dict = {}
     elliptics = [
-        EllipticInvariants.of(B) for B in enumerate_elliptics(field, irreducible=True)
+        EllipticInvariants.of(B, factored) for B in enumerate_elliptics(field, irreducible=True)
     ]
-    primes_of: dict[int, tuple[int, ...]] = {}
     for A in enumerate_surfaces(field, geometrically_simple=True):
-        surface = SurfaceInvariants.of(A)
+        surface = SurfaceInvariants.of(A, factored)
         for B in elliptics:
-            yield evaluate_pair(surface, B, primes_of)
+            yield evaluate_pair(surface, B, factored)

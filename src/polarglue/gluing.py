@@ -6,13 +6,13 @@ principal polarization.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
+from typing import NamedTuple
 
 from . import polys
-from .arith import factor_integer, is_squarefree, kronecker_symbol
+from .arith import PrimeFactorization, factor_integer, is_squarefree, kronecker_symbol
 from .localalg import (
     DoubleRoot,
     SplittingType,
@@ -63,11 +63,6 @@ class NonPositivePower(ValidationError):
     pass
 
 
-def _check_separable_surface(A: WeilSurface, s: int):
-    if A.real_discriminant() == 0 or A.h(2 * s) == 0 or A.h(-2 * s) == 0:
-        raise InseparableInput("surface Weil polynomial has a repeated root")
-
-
 def ss_quadratic_gluing_valuation(A: WeilSurface, s: int, ell: int) -> int:
     """Largest n with ell^(2n) | f(s) and ell^n | f'(s), for square q = s^2.
 
@@ -78,7 +73,8 @@ def ss_quadratic_gluing_valuation(A: WeilSurface, s: int, ell: int) -> int:
     if s * s != q:
         raise NotASquare(f"s^2 = {s * s} differs from q = {q}")
     check_ell(ell, A.field.p)
-    _check_separable_surface(A, s)
+    if A.real_discriminant() == 0 or A.h(2 * s) == 0 or A.h(-2 * s) == 0:
+        raise InseparableInput("surface Weil polynomial has a repeated root")
     f = A.coefficients()
     f_s = polys.evaluate(f, s)
     fprime_s = polys.evaluate(polys.derivative(f), s)
@@ -219,21 +215,29 @@ class GluingVerdict:
 
 _HB_UNIT = GluingVerdict(kind=VerdictKind.NO_IRREDUCIBLE_PP, reason=NoPPReason.HB_UNIT)
 
+_EXISTS: dict[tuple[int, int], GluingVerdict] = {}
 
-@functools.lru_cache(maxsize=None)
+
 def _exists(ell: int, branch: Branch) -> GluingVerdict:
     """The one verdict object for witness ell on this branch, shared by
     every row it decides (verdicts are immutable)."""
-    return GluingVerdict(
-        kind=VerdictKind.IRREDUCIBLE_PP_EXISTS,
-        witness_ell=ell,
-        branch=branch,
-        jacobian_text=(
-            "the isogeny class contains an abelian threefold with an irreducible "
-            f"principal polarization (glued at ell = {ell}); that threefold or its "
-            "quadratic twist is the Jacobian of a smooth curve of genus 3"
-        ),
-    )
+    # keyed on id(branch) (members live forever): hashing an Enum runs Python code
+    if (v := _EXISTS.get((ell, id(branch)))) is None:
+        v = _EXISTS[ell, id(branch)] = GluingVerdict(
+            VerdictKind.IRREDUCIBLE_PP_EXISTS, ell, branch, jacobian_text=(
+                "the isogeny class contains an abelian threefold with an irreducible "
+                f"principal polarization (glued at ell = {ell}); that threefold or its "
+                "quadratic twist is the Jacobian of a smooth curve of genus 3"))
+    return v
+
+
+def _factored(memo: dict[int, PrimeFactorization] | None, n: int) -> PrimeFactorization:
+    """factor_integer(n), kept in memo (n -> factorization) if one is given."""
+    if memo is None:
+        return factor_integer(n)
+    if (f := memo.get(n)) is None:
+        f = memo[n] = factor_integer(n)
+    return f
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,8 @@ class EllipticInvariants:
     reducible: frozenset[int]
 
     @classmethod
-    def of(cls, B: WeilElliptic) -> "EllipticInvariants":
-        disc = factor_integer(B.discriminant())
+    def of(cls, B: WeilElliptic, factored: dict | None = None) -> "EllipticInvariants":
+        disc = _factored(factored, B.discriminant())
         delta = fundamental_discriminant_of(disc)
         failures, reducible = {}, set()
         for ell in disc.primes:
@@ -280,22 +284,22 @@ class SurfaceInvariants:
     exceptional: frozenset[int]
 
     @classmethod
-    def of(cls, A: WeilSurface) -> "SurfaceInvariants":
+    def of(cls, A: WeilSurface, factored: dict | None = None) -> "SurfaceInvariants":
         disc = A.real_discriminant()
         exceptional = frozenset() if isqrt(disc) ** 2 == disc else frozenset(
-            ell for ell, e in factor_integer(disc).factors
+            ell for ell, e in _factored(factored, disc).factors
             if e >= 2 and ell != A.field.p and is_exceptional(A, ell)[0]
         )
         return cls(A, classify_p_rank(A), exceptional)
 
 
 def decide_from_invariants(
-    A: SurfaceInvariants, B: EllipticInvariants, hb: int, primes: tuple[int, ...]
+    A: SurfaceInvariants, B: EllipticInvariants, hb: PrimeFactorization
 ) -> GluingVerdict:
     """The verdict for A x B from its three pieces: the surface and elliptic
-    invariants, and h(b) != 0 with its prime divisors in increasing order.
+    invariants, and the factorization of h(b) != 0.
 
-    Returns the first prime satisfying all gluing conditions, by set
+    Returns the first prime of h(b) satisfying all gluing conditions, by set
     lookups only: ell = p follows the ordinary / supersingular case split;
     any other ell fails with B.failures[ell], plus a reason if ell is in
     A.exceptional and A is not ordinary, and otherwise glues on the
@@ -304,11 +308,11 @@ def decide_from_invariants(
     simplicity is the caller's to enforce.  Conclusive verdicts are shared
     objects; only an Inconclusive verdict is built per call.
     """
-    if abs(hb) == 1:
+    if not hb.factors:
         return _HB_UNIT
     p = B.elliptic.field.p
     failures: list[PrimeFailure] = []
-    for ell in primes:
+    for ell, _ in hb.factors:
         if ell == p:
             if B.p_rank is PRank.ORDINARY or A.p_rank is PRank.MIXED:
                 return _exists(ell, Branch.P_BRANCH)
@@ -331,8 +335,7 @@ def decide_from_invariants(
     return GluingVerdict(kind=VerdictKind.INCONCLUSIVE, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One decided pair: h(b), the verdict, both p-ranks, and the prime
     divisors of h(b) other than p that are exceptional for the surface.
 
@@ -350,27 +353,25 @@ class ScanRow:
 
 
 def evaluate_pair(
-    A: SurfaceInvariants, B: EllipticInvariants, primes_of: dict[int, tuple[int, ...]]
+    A: SurfaceInvariants, B: EllipticInvariants, factored: dict[int, PrimeFactorization]
 ) -> ScanRow:
-    """The row for A x B: h(b), its prime divisors (looked up in the memo
-    primes_of, or factored and stored there), the verdict of
-    decide_from_invariants and the primes of h(b) in A.exceptional.
-    h(b) != 0 is the caller's to ensure, as for geometric simplicity."""
+    """The row for A x B: h(b), its factorization (kept in the memo
+    factored, so a scan sharing one memo factors each integer once), the
+    verdict of decide_from_invariants and the primes of h(b) in
+    A.exceptional.  h(b) != 0 is the caller's to ensure, as for geometric
+    simplicity."""
     E = B.elliptic
     h_b = A.surface.h(E.b)
-    primes = primes_of.get(h_b)
-    if primes is None:
-        primes = primes_of[h_b] = factor_integer(h_b).primes
+    if (hb := factored.get(h_b)) is None:
+        hb = factored[h_b] = factor_integer(h_b)
     return ScanRow(
-        surface=A.surface, elliptic=E, h_b=h_b,
-        verdict=decide_from_invariants(A, B, h_b, primes),
-        surface_p_rank=A.p_rank, elliptic_p_rank=B.p_rank,
-        exceptional_primes=tuple(ell for ell in primes if ell in A.exceptional),
+        A.surface, E, h_b, decide_from_invariants(A, B, hb), A.p_rank, B.p_rank,
+        tuple(ell for ell, _ in hb.factors if ell in A.exceptional) if A.exceptional else (),
     )
 
 
 def decide_pair(A: WeilSurface, B: WeilElliptic) -> ScanRow:
-    """The validated row for one pair A x B.
+    """The validated row for one pair A x B, factoring each integer once.
 
     A surface that fails the geometric-simplicity test is rejected whenever
     the verdict would assert anything, and whenever h(b) = 0; an
@@ -381,12 +382,11 @@ def decide_pair(A: WeilSurface, B: WeilElliptic) -> ScanRow:
     if not B.irreducible:
         raise ReducibleEllipticInput("f_B must be irreducible: b^2 < 4q")
     simple, witness_m = is_geometrically_simple(A)
-    if simple:
-        return evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
-    if A.h(B.b) != 0:
-        row = evaluate_pair(SurfaceInvariants.of(A), EllipticInvariants.of(B), {})
-        if row.verdict.kind is VerdictKind.INCONCLUSIVE:
-            return replace(row, geometrically_simple=False)
+    if simple or A.h(B.b) != 0:
+        memo: dict[int, PrimeFactorization] = {}
+        row = evaluate_pair(SurfaceInvariants.of(A, memo), EllipticInvariants.of(B, memo), memo)
+        if simple or row.verdict.kind is VerdictKind.INCONCLUSIVE:
+            return row._replace(geometrically_simple=simple)
     raise NotGeometricallySimple(f"surface splits after base change to F_(q^{witness_m})")
 
 

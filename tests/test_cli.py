@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schemas" / "output.v1.json").read_text())
@@ -187,6 +188,7 @@ SCAN_DIGESTS = {
     (9, "json"): "67ebf9d26d61ed2e5695bbc34c131b3b290ad10f472878ec817b8d4d8607b3c6",
     (25, "json"): "00144356d2c2ac1e7d46bdd7382812dd5f8a0f5f9f5385363b9b850b4ad449ad",
     (27, "json"): "0159358c9ccad5e8b17efddcf8d966d5a5f075174322b1611240f7668e33cdc5",
+    (49, "csv"): "87d31a2d2f3a5fd3b603b951907e1844e233a0178cf63f05977d2057edf93442",
 }
 
 
@@ -203,7 +205,6 @@ def test_json_writer_matches_one_dump():
     needs escaping, whose flags differ, or whose conclusive verdicts are
     equal but distinct objects."""
     import io
-    from dataclasses import replace
 
     import polarglue as pg
     from polarglue import cli, gluing
@@ -213,18 +214,20 @@ def test_json_writer_matches_one_dump():
     exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
                   branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
     hand_built = [
-        replace(base, verdict=gluing._HB_UNIT),
-        replace(base, verdict=gluing.GluingVerdict(
+        base._replace(verdict=gluing._HB_UNIT),
+        base._replace(verdict=gluing.GluingVerdict(
             kind=gluing.VerdictKind.INCONCLUSIVE,
             failures=(gluing.PrimeFailure(
                 ell=3, reasons=('a "quoted" \\ {brace} }{', "line\nbreak, ell \u2113")),
                 gluing.PrimeFailure(ell=7, reasons=())))),
-        replace(base, geometrically_simple=False),
-        replace(base, exceptional_primes=(3, 5)),
-        replace(base, verdict=gluing.GluingVerdict(**exists)),
-        replace(base, verdict=gluing.GluingVerdict(**exists)),
+        base._replace(geometrically_simple=False),
+        base._replace(exceptional_primes=(3, 5)),
+        base._replace(verdict=gluing.GluingVerdict(**exists)),
+        base._replace(verdict=gluing.GluingVerdict(**exists)),
     ]
     assert hand_built[-1].verdict is not hand_built[-2].verdict
+    with pytest.raises(AttributeError):
+        base.verdict = gluing._HB_UNIT
     cases = [rows[:0], rows[:1], rows[:2], rows, hand_built, hand_built[::-1] + rows[:3]]
     for case in cases:
         buf = io.StringIO()
@@ -239,7 +242,6 @@ def test_csv_writer_matches_csv_module():
     equal but distinct conclusive verdict objects differ."""
     import csv
     import io
-    from dataclasses import replace
 
     import polarglue as pg
     from polarglue import cli, gluing
@@ -249,15 +251,15 @@ def test_csv_writer_matches_csv_module():
     exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
                   branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
     rows += [
-        replace(base, verdict=gluing.GluingVerdict(
+        base._replace(verdict=gluing.GluingVerdict(
             kind=gluing.VerdictKind.NO_IRREDUCIBLE_PP, reason=gluing.NoPPReason.HB_UNIT)),
-        replace(base, verdict=gluing.GluingVerdict(
+        base._replace(verdict=gluing.GluingVerdict(
             kind=gluing.VerdictKind.INCONCLUSIVE,
             failures=(gluing.PrimeFailure(ell=3, reasons=("a reason",)),))),
-        replace(base, geometrically_simple=False),
-        replace(base, exceptional_primes=(3, 5)),
-        replace(base, verdict=gluing.GluingVerdict(**exists)),
-        replace(base, verdict=gluing.GluingVerdict(**exists)),
+        base._replace(geometrically_simple=False),
+        base._replace(exceptional_primes=(3, 5)),
+        base._replace(verdict=gluing.GluingVerdict(**exists)),
+        base._replace(verdict=gluing.GluingVerdict(**exists)),
     ]
     assert rows[-1].verdict is not rows[-2].verdict
     for case in (rows[:0], rows):
@@ -276,6 +278,30 @@ def test_csv_writer_matches_csv_module():
         cli._write_scan(case, got, "csv")
         assert got.getvalue() == want.getvalue()
     assert "exceptional_primes=3|5" in got.getvalue()
+
+
+def test_scan_hashes_no_enum(monkeypatch):
+    """Deciding and writing a scan hashes no Enum member: Enum.__hash__
+    runs Python code, so the shared verdicts and the writer's caches are
+    keyed on the members' ids."""
+    import enum
+    import io
+
+    import polarglue as pg
+    from polarglue import cli
+
+    calls = []
+    enum_hash = enum.Enum.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return enum_hash(self)
+
+    for fmt in ("csv", "json"):
+        monkeypatch.setattr(enum.Enum, "__hash__", counting)
+        cli._write_scan(pg.scan_pairs(pg.field_param(13)), io.StringIO(), fmt)
+        monkeypatch.undo()
+        assert calls == [], (fmt, len(calls))
 
 
 def test_scan_streams_rows():

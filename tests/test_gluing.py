@@ -299,3 +299,20 @@ def test_check_factors_no_integer_twice(monkeypatch):
     field = weil.field_param(q)
     gluing.decide_pair(pg.make_surface(field, 3, 7), pg.make_elliptic(field, 5))
     assert len(seen) == len(set(seen)) == 4, seen
+
+
+def test_scan_factors_no_integer_twice(monkeypatch):
+    """One scan factors each of its integers once: b^2 - 4q, disc(h_A)
+    (1,016 surfaces share 151 values at q = 25) and h(b) share one memo."""
+    from polarglue import arith, gluing
+
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        return arith.factor_integer(n)
+
+    monkeypatch.setattr(gluing, "factor_integer", counting)
+    rows = list(pg.scan_pairs(pg.field_param(25)))
+    assert len(rows) > 0 and len(seen) > 0
+    assert len(seen) == len(set(seen))
