@@ -15,6 +15,7 @@ Usage: python scripts/check_decide.py [--max-q 49]
 
 import argparse
 import sys
+from itertools import chain
 
 import polarglue as pg
 from polarglue import oracle
@@ -37,7 +38,7 @@ def main():
         except ValueError:
             continue
         counts = [0, 0, 0]
-        for row in pg.scan_pairs(field):
+        for row in chain.from_iterable(pg.scan_pairs(field)):
             v = row.verdict
             got = (
                 v.kind.value, v.witness_ell, v.branch and v.branch.value,

@@ -8,6 +8,7 @@ Exits 1 without a traceback if the reader closes stdout early.
 
 import argparse
 from collections import Counter
+from itertools import chain
 
 import polarglue as pg
 from _checkout import run_main
@@ -20,7 +21,7 @@ def main():
     args = ap.parse_args()
 
     field = pg.field_param(args.q)
-    rows = list(pg.scan_pairs(field))
+    rows = list(chain.from_iterable(pg.scan_pairs(field)))
     surfaces = {(r.surface.a1, r.surface.a2) for r in rows}
     print(f"F_{args.q}: {len(surfaces)} geometrically simple surfaces, "
           f"{len(rows)} pairs with irreducible elliptic curves")

@@ -141,45 +141,50 @@ def _dump_at(obj, depth: int) -> str:
 
 
 def _row_template(row: gluing.ScanRow) -> str:
-    """The scan-row record of row as an array element (depth 1), with the
-    per-row values q, a1, a2, b, h_b, flags and verdict as the str.format
-    fields {0} to {6}.
+    """The scan-row record of row as an array element (depth 1), with q
+    filled in, since a scan has one q, and the per-row values a1, a2, b,
+    h_b, flags and verdict as the str.format fields {0} to {5}.
 
     The text is _row_record's own dump with those values replaced by
     marker strings, so the record layout has no second copy here.  The
     markers hold NUL, which json escapes as \\u0000 and no constant of the
     record contains."""
     rec = _row_record("scan-row", row, deterministic=True)
-    rec["query"] = {key: f"\0{key}\0" for key in rec["query"]}
-    rec.update({key: f"\0{key}\0" for key in ("h_b", "flags", "verdict")})
+    query = rec["query"]
+    fields = (*(key for key in query if key != "q"), "h_b", "flags", "verdict")
+    for key in fields:
+        (query if key in query else rec)[key] = f"\0{key}\0"
     text = _dump_at(rec, 1).replace("{", "{{").replace("}", "}}")
-    for i, key in enumerate((*rec["query"], "h_b", "flags", "verdict")):
+    for i, key in enumerate(fields):
         text = text.replace(json.dumps(f"\0{key}\0"), f"{{{i}}}")
     return text
 
 
-def _csv_row(q, a1, a2, b, h_b, flags, verdict) -> str:
-    """A csv line, from the fields of _row_template (csv has no q column)."""
+def _csv_row(a1, a2, b, h_b, flags, verdict) -> str:
+    """A csv line, from the fields of _row_template."""
     return f"{a1},{a2},{b},{h_b},{verdict},{flags}\n"
 
 
-def _write_scan(rows, out, fmt: str) -> None:
-    """Write rows as csv, or as the bytes of json.dumps(records, indent=2,
-    sort_keys=True) + "\n" for their scan-row records, one row at a time.
+def _write_scan(blocks, out, fmt: str) -> None:
+    """Write the rows of blocks (lists of rows, as scan_pairs yields them;
+    all rows over one field) as csv, or as the bytes of
+    json.dumps(records, indent=2, sort_keys=True) + "\n" for their
+    scan-row records, one block at a time.
 
     A format is data chosen once, before the loop: the text for no rows,
     the head, separator and tail around the rows, the row fill, and the
     text of a _row_flags or _verdict_payload dict.  The flags text is
-    built once per key below (a few per scan), a conclusive verdict's text
-    once per shared object (kept alive beside its text, so its id cannot
-    be reused), and an inconclusive verdict's text per row.
+    built once per key below (a few per scan), and a verdict's text once
+    per verdict object, conclusive or inconclusive: scan_pairs shares
+    verdicts across rows.  Each verdict is kept alive beside its text, so
+    its id cannot be reused.
 
     No csv field can hold ",", '"' or a newline (integers, enum values,
     and flags built from those), so the bytes equal csv.writer's.  With an
     indent, CPython's json encodes in pure Python, which cost more than
     deciding the rows; hence the json row template (_row_template)."""
-    rows = iter(rows)
-    first = next(rows, None)
+    blocks = (block for block in blocks if block)
+    first = next(blocks, None)
     if fmt == "csv":
         head = empty = "a1,a2,b,h_b,verdict,witness_ell,branch,flags\n"
         sep = tail = ""
@@ -189,14 +194,13 @@ def _write_scan(rows, out, fmt: str) -> None:
             p["kind"], p["witness_ell"], p["branch"]))
     else:
         empty, head, sep, tail = "[]\n", "[\n  ", ",\n  ", "\n]\n"
-        fill = None if first is None else _row_template(first).format
+        fill = None if first is None else _row_template(first[0]).format
         flags_text = verdict_text = lambda d: _dump_at(d, 2)
     if first is None:
         out.write(empty)
         return
     flags_of: dict[tuple, str] = {}
     verdict_of: dict[int, tuple[gluing.GluingVerdict, str]] = {}
-    inconclusive = gluing.VerdictKind.INCONCLUSIVE
 
     def line(row) -> str:
         A, E, h_b, v, surface_rank, elliptic_rank, exceptional, simple = row
@@ -204,17 +208,13 @@ def _write_scan(rows, out, fmt: str) -> None:
         key = (id(surface_rank), id(elliptic_rank), simple, exceptional)
         if (flags := flags_of.get(key)) is None:
             flags = flags_of[key] = flags_text(_row_flags(row))
-        if v.kind is inconclusive:
-            verdict = verdict_text(_verdict_payload(v))
-        else:
-            if (kept := verdict_of.get(id(v))) is None:
-                kept = verdict_of[id(v)] = (v, verdict_text(_verdict_payload(v)))
-            verdict = kept[1]
-        return fill(A.q, A.a1, A.a2, E.b, h_b, flags, verdict)
+        if (kept := verdict_of.get(id(v))) is None:
+            kept = verdict_of[id(v)] = (v, verdict_text(_verdict_payload(v)))
+        return fill(A.a1, A.a2, E.b, h_b, flags, kept[1])
 
-    out.write(head + line(first))
-    for row in rows:
-        out.write(sep + line(row))
+    out.write(head + sep.join(map(line, first)))
+    for block in blocks:
+        out.write(sep + sep.join(map(line, block)))
     out.write(tail)
 
 

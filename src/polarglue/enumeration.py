@@ -95,20 +95,48 @@ def enumerate_elliptics(
     return out
 
 
-def scan_pairs(field: FieldParam) -> Iterator[ScanRow]:
+def scan_pairs(field: FieldParam) -> Iterator[list[ScanRow]]:
     """Decide every (geometrically simple surface) x (irreducible elliptic)
-    pair over F_q; rows are yielded in lexicographic (a1, a2, b) order.
+    pair over F_q; yields one block per surface, the list of its rows in
+    increasing b, so the rows run in lexicographic (a1, a2, b) order.
 
     One serial pass: elliptic invariants before the pair loop, surface
     invariants once per surface, and one memo for b^2 - 4q, disc(h_A) and
-    h(b), so each integer is factored once per scan.  Pools of threads or
-    processes measured slower, since the work is pure Python.
+    h(b), so each integer is factored once per scan.
+
+    A verdict reads the surface only through its p-rank and its
+    exceptional set, so a surface with no exceptional prime reads its
+    verdicts from one column per (p-rank, B), a list indexed by h(b):
+    h(b) = (b - t1)(b - t2) with b, t1 and t2 in [-2 sqrt q, 2 sqrt q]
+    lies in [-4q, 16q].  The first row to miss a slot fills it through
+    evaluate_pair.  A slot is 8 bytes pointing at a shared verdict.
+    Surfaces with an exceptional prime call evaluate_pair for every row.
+    Pools of threads or processes measured slower, since the work is pure
+    Python.
     """
+    q = field.q
     factored: dict = {}
     elliptics = [
         EllipticInvariants.of(B, factored) for B in enumerate_elliptics(field, irreducible=True)
     ]
+    # keyed on id(p_rank) (members live forever): hashing an Enum runs Python code
+    columns: dict[int, list[list]] = {}
     for A in enumerate_surfaces(field, geometrically_simple=True):
         surface = SurfaceInvariants.of(A, factored)
-        for B in elliptics:
-            yield evaluate_pair(surface, B, factored)
+        if surface.exceptional:
+            yield [evaluate_pair(surface, B, factored) for B in elliptics]
+            continue
+        rank, a1, c = surface.p_rank, A.a1, A.a2 - 2 * q
+        if (family := columns.get(id(rank))) is None:
+            family = columns[id(rank)] = [[None] * (20 * q + 1) for _ in elliptics]
+        block = []
+        for B, column in zip(elliptics, family):
+            E = B.elliptic
+            h_b = E.b * (E.b + a1) + c
+            if (v := column[h_b + 4 * q]) is None:
+                row = evaluate_pair(surface, B, factored)
+                column[h_b + 4 * q] = row.verdict
+            else:
+                row = ScanRow(A, E, h_b, v, rank, B.p_rank, ())
+            block.append(row)
+        yield block

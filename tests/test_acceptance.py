@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -138,7 +139,7 @@ def test_criterion_4_converse_enforcement():
     start = time.monotonic()
     rows = 0
     for q in SCAN_FIELDS:
-        for row in pg.scan_pairs(pg.field_param(q)):
+        for row in chain.from_iterable(pg.scan_pairs(pg.field_param(q))):
             rows += 1
             assert row.verdict is not None
             if abs(row.h_b) == 1:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -69,7 +70,7 @@ def test_check_record_matches_scan_row():
     from polarglue import cli, gluing
 
     for q in (2, 3, 4, 5, 7, 8, 9, 11):
-        for row in pg.scan_pairs(pg.field_param(q)):
+        for row in chain.from_iterable(pg.scan_pairs(pg.field_param(q))):
             scanned = cli._row_record("scan-row", row, deterministic=True)
             checked = cli._row_record(
                 "check", gluing.decide_pair(row.surface, row.elliptic),
@@ -201,56 +202,62 @@ def test_scan_bytes_match_recorded_digests():
 
 def test_json_writer_matches_one_dump():
     """The template writer writes the bytes of one indented dump of all
-    records, for engine rows and for hand-built rows whose verdict text
-    needs escaping, whose flags differ, or whose conclusive verdicts are
-    equal but distinct objects."""
+    records, for the engine's blocks of rows and for hand-built rows whose
+    verdict text needs escaping, whose flags differ, or whose conclusive
+    verdicts are equal but distinct objects, in blocks of any length.  A
+    scan has one q, so each write covers one field."""
     import io
 
     import polarglue as pg
     from polarglue import cli, gluing
 
-    rows = [r for q in (7, 9) for r in pg.scan_pairs(pg.field_param(q))]
-    base = rows[0]
     exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
                   branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
-    hand_built = [
-        base._replace(verdict=gluing._HB_UNIT),
-        base._replace(verdict=gluing.GluingVerdict(
-            kind=gluing.VerdictKind.INCONCLUSIVE,
-            failures=(gluing.PrimeFailure(
-                ell=3, reasons=('a "quoted" \\ {brace} }{', "line\nbreak, ell \u2113")),
-                gluing.PrimeFailure(ell=7, reasons=())))),
-        base._replace(geometrically_simple=False),
-        base._replace(exceptional_primes=(3, 5)),
-        base._replace(verdict=gluing.GluingVerdict(**exists)),
-        base._replace(verdict=gluing.GluingVerdict(**exists)),
-    ]
-    assert hand_built[-1].verdict is not hand_built[-2].verdict
-    with pytest.raises(AttributeError):
-        base.verdict = gluing._HB_UNIT
-    cases = [rows[:0], rows[:1], rows[:2], rows, hand_built, hand_built[::-1] + rows[:3]]
-    for case in cases:
-        buf = io.StringIO()
-        cli._write_scan(case, buf, "json")
-        records = [cli._row_record("scan-row", r, deterministic=True) for r in case]
-        assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    for q in (7, 9):
+        blocks = list(pg.scan_pairs(pg.field_param(q)))
+        rows = list(chain.from_iterable(blocks))
+        base = rows[0]
+        hand_built = [
+            base._replace(verdict=gluing._HB_UNIT),
+            base._replace(verdict=gluing.GluingVerdict(
+                kind=gluing.VerdictKind.INCONCLUSIVE,
+                failures=(gluing.PrimeFailure(
+                    ell=3, reasons=('a "quoted" \\ {brace} }{', "line\nbreak, ell \u2113")),
+                    gluing.PrimeFailure(ell=7, reasons=())))),
+            base._replace(geometrically_simple=False),
+            base._replace(exceptional_primes=(3, 5)),
+            base._replace(verdict=gluing.GluingVerdict(**exists)),
+            base._replace(verdict=gluing.GluingVerdict(**exists)),
+        ]
+        assert hand_built[-1].verdict is not hand_built[-2].verdict
+        with pytest.raises(AttributeError):
+            base.verdict = gluing._HB_UNIT
+        cases = [[], [[]], [rows[:1]], [rows[:2]], blocks, [hand_built],
+                 [hand_built[::-1], [], rows[:3]]]
+        for case in cases:
+            buf = io.StringIO()
+            cli._write_scan(case, buf, "json")
+            records = [cli._row_record("scan-row", r, deterministic=True)
+                       for r in chain.from_iterable(case)]
+            assert buf.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_writer_matches_csv_module():
-    """The scan writer's csv equals csv.writer's, for no rows (the header
-    alone), engine rows and hand-built rows whose verdicts, flags, or
-    equal but distinct conclusive verdict objects differ."""
+    """The scan writer's csv equals csv.writer's, for no blocks (the header
+    alone), the engine's blocks and a block of hand-built rows whose
+    verdicts, flags, or equal but distinct conclusive verdict objects
+    differ."""
     import csv
     import io
 
     import polarglue as pg
     from polarglue import cli, gluing
 
-    rows = [r for q in (7, 9) for r in pg.scan_pairs(pg.field_param(q))]
-    base = rows[0]
+    blocks = [block for q in (7, 9) for block in pg.scan_pairs(pg.field_param(q))]
+    base = blocks[0][0]
     exists = dict(kind=gluing.VerdictKind.IRREDUCIBLE_PP_EXISTS, witness_ell=5,
                   branch=gluing.Branch.GENERIC, jacobian_text="glued at ell = 5")
-    rows += [
+    hand_built = [
         base._replace(verdict=gluing.GluingVerdict(
             kind=gluing.VerdictKind.NO_IRREDUCIBLE_PP, reason=gluing.NoPPReason.HB_UNIT)),
         base._replace(verdict=gluing.GluingVerdict(
@@ -261,12 +268,12 @@ def test_csv_writer_matches_csv_module():
         base._replace(verdict=gluing.GluingVerdict(**exists)),
         base._replace(verdict=gluing.GluingVerdict(**exists)),
     ]
-    assert rows[-1].verdict is not rows[-2].verdict
-    for case in (rows[:0], rows):
+    assert hand_built[-1].verdict is not hand_built[-2].verdict
+    for case in ([], blocks + [hand_built]):
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["a1", "a2", "b", "h_b", "verdict", "witness_ell", "branch", "flags"])
-        for row in case:
+        for row in chain.from_iterable(case):
             v = row.verdict
             writer.writerow(
                 [row.surface.a1, row.surface.a2, row.elliptic.b, row.h_b, v.kind.value,
@@ -306,7 +313,7 @@ def test_scan_hashes_no_enum(monkeypatch):
 
 def test_scan_streams_rows():
     """Peak RSS of a q = 27 json scan (24,066 rows, about 190 MB when the
-    whole output was built before writing) is about 16.6 MB."""
+    whole output was built before writing) is about 16.3 MB."""
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
     res = subprocess.run(
@@ -351,9 +358,10 @@ def test_closed_stdout_exits_66_without_traceback():
 
 
 def test_scan_csv_peak_rss_stays_flat():
-    """Peak RSS of a q = 49 csv scan is about 17 MB.  A verdict memo per
-    (b, h(b), p-rank, exceptional primes) raised it to 22-33 MB, so the
-    24 MB bound keeps such a memo out."""
+    """Peak RSS of a q = 49 csv scan is about 17.1 MB, with the verdict
+    columns (one list of 20q + 1 slots per p-rank and elliptic curve).  A
+    verdict memo per (b, h(b), p-rank, exceptional primes) raised it to
+    22-33 MB, so the 24 MB bound keeps such a memo out."""
     env = dict(os.environ)
     env.pop("POLARGLUE_CONFIG", None)
     res = subprocess.run(

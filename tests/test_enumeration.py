@@ -1,3 +1,5 @@
+from itertools import chain
+
 import polarglue as pg
 from polarglue import oracle
 from polarglue.enumeration import trace_occurs
@@ -60,7 +62,7 @@ def test_monotone_filters():
 
 
 def test_scan_shape_and_totality():
-    rows = list(pg.scan_pairs(F2))
+    rows = list(chain.from_iterable(pg.scan_pairs(F2)))
     n_surfaces = len(pg.enumerate_surfaces(F2, geometrically_simple=True))
     n_elliptics = len(pg.enumerate_elliptics(F2, irreducible=True))
     assert len(rows) == n_surfaces * n_elliptics
@@ -74,7 +76,7 @@ def test_scan_shape_and_totality():
 
 
 def test_scan_row_example():
-    rows = pg.scan_pairs(F2)
+    rows = chain.from_iterable(pg.scan_pairs(F2))
     row = next(r for r in rows
                if (r.surface.a1, r.surface.a2, r.elliptic.b) == (1, 1, 0))
     assert row.verdict.kind is pg.VerdictKind.IRREDUCIBLE_PP_EXISTS
@@ -89,7 +91,7 @@ def test_scan_rows_match_decide():
     and lists exactly the exceptional primes of h(b)."""
     for q in (2, 3, 4, 5, 7, 8, 9):
         field = pg.field_param(q)
-        for row in pg.scan_pairs(field):
+        for row in chain.from_iterable(pg.scan_pairs(field)):
             assert row.verdict == pg.decide(row.surface, row.elliptic), row
             primes = [ell for ell, _ in oracle.trial_factor(row.h_b)]
             assert row.exceptional_primes == tuple(
@@ -139,7 +141,7 @@ def test_scan_rows_match_decide_reference_exhaustively():
     prime sets."""
     rows = 0
     for q in DECIDE_FIELDS:
-        for row in pg.scan_pairs(pg.field_param(q)):
+        for row in chain.from_iterable(pg.scan_pairs(pg.field_param(q))):
             want = oracle.decide_reference(row.surface, row.elliptic)
             assert _row_values(row) == want, row
             rows += 1
@@ -155,7 +157,7 @@ def test_quadratic_twins_decide_alike():
     for q in (q for q in DECIDE_FIELDS if q <= 27):
         rows = {
             (r.surface.a1, r.surface.a2, r.elliptic.b): r
-            for r in pg.scan_pairs(pg.field_param(q))
+            for r in chain.from_iterable(pg.scan_pairs(pg.field_param(q)))
         }
         for (a1, a2, b), row in rows.items():
             twin = rows[(-a1, a2, -b)]
@@ -166,3 +168,52 @@ def test_quadratic_twins_decide_alike():
             assert (v.kind, v.witness_ell, v.branch, v.reason) == (
                 w.kind, w.witness_ell, w.branch, w.reason), (q, a1, a2, b)
             assert [f.ell for f in v.failures] == [f.ell for f in w.failures]
+
+
+COLUMN_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49)
+
+
+def test_scan_columns_agree_with_per_pair_rows(monkeypatch):
+    """scan_pairs reads the verdict of a surface with no exceptional prime
+    from a column per (p-rank, elliptic curve) indexed by h(b).  For every
+    prime power q <= 32 and q = 49, each block equals, field by field
+    (exceptional primes in order too), the rows of the per-pair path the
+    columns replace: evaluate_pair on every pair, with invariants and a
+    factoring memo of its own.
+
+    At q = 49 decide_from_invariants runs exactly once per (p-rank, b,
+    h(b)) on surfaces without exceptional primes.  Rows alone cannot show
+    a column shared across p-ranks: no scanned pair has p | h(b) with an
+    ordinary surface and a supersingular curve, the one case where the
+    p-rank decides."""
+    from collections import Counter
+
+    from polarglue import gluing
+    from polarglue.gluing import EllipticInvariants, SurfaceInvariants, evaluate_pair
+
+    decided, slots = Counter(), set()
+    decide = gluing.decide_from_invariants
+
+    def counting(A, B, hb):
+        if not A.exceptional:
+            b = B.elliptic.b
+            decided[A.p_rank, b, A.surface.h(b)] += 1
+        return decide(A, B, hb)
+
+    for q in COLUMN_FIELDS:
+        field = pg.field_param(q)
+        if q == 49:
+            monkeypatch.setattr(gluing, "decide_from_invariants", counting)
+        blocks = list(pg.scan_pairs(field))
+        monkeypatch.undo()
+        memo: dict = {}
+        elliptics = [EllipticInvariants.of(B, memo)
+                     for B in pg.enumerate_elliptics(field, irreducible=True)]
+        surfaces = pg.enumerate_surfaces(field, geometrically_simple=True)
+        assert [block[0].surface for block in blocks] == surfaces, q
+        for A, block in zip(surfaces, blocks):
+            surface = SurfaceInvariants.of(A, memo)
+            assert block == [evaluate_pair(surface, B, memo) for B in elliptics], (q, A)
+            if q == 49 and not surface.exceptional:
+                slots.update((row.surface_p_rank, row.elliptic.b, row.h_b) for row in block)
+    assert slots and decided == Counter(slots)

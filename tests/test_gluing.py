@@ -1,5 +1,6 @@
 import math
 import signal
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,7 +218,7 @@ def test_exceptional_branch_coherence():
     seen = 0
     for q in (5, 7, 8, 9, 11, 13):
         field = pg.field_param(q)
-        for row in pg.scan_pairs(field):
+        for row in chain.from_iterable(pg.scan_pairs(field)):
             v = row.verdict
             if v.kind is not VerdictKind.IRREDUCIBLE_PP_EXISTS:
                 continue
@@ -313,6 +314,6 @@ def test_scan_factors_no_integer_twice(monkeypatch):
         return arith.factor_integer(n)
 
     monkeypatch.setattr(gluing, "factor_integer", counting)
-    rows = list(pg.scan_pairs(pg.field_param(25)))
+    rows = list(chain.from_iterable(pg.scan_pairs(pg.field_param(25))))
     assert len(rows) > 0 and len(seen) > 0
     assert len(seen) == len(set(seen))
